@@ -111,7 +111,7 @@ class EvalWorkload:
     name = "eval_classical"
     trains = False
     episodes_per_op = 1
-    n_cases, stride = 512, 64
+    n_cases, stride = 512, 110
 
     def prepare(self, workdir: str, case: int) -> dict:
         ds = sized_dataset(1.0, 300, 600, seed=case)
@@ -146,7 +146,7 @@ class TrainWorkload:
     name = "train_ppo"
     trains = True
     episodes_per_op = train_config(0).episodes_per_iter
-    n_cases, stride = 48, 6
+    n_cases, stride = 48, 10
 
     def prepare(self, workdir: str, case: int) -> dict:
         paths = []
