@@ -1,12 +1,15 @@
 """Step through the two-layer decision process by hand: observe a batch's
-candidate pool, pick pairs one at a time (watching related rows vanish),
-hold the rest, and see the episode metrics at the end.
+candidate pool (id arrays plus a feature matrix, one row per pair), pick pairs
+one at a time with ``mask_after_selection`` (watching related rows vanish),
+hold the rest with ``finalize_batch``, and see the episode metrics at the end.
 
 Run:  python3 demos/03_two_layer_environment.py
 """
 
+import numpy as np
+
 from micod.core import Driver, EpisodeConfig, Location, Order
-from micod.env import BatchEnd, DispatchEnv, SubAction, apply_subaction, initial_substate
+from micod.env import F_PICKUP, F_PRICE, DispatchEnv, mask_after_selection
 from micod.scenario import Dataset
 
 cfg = EpisodeConfig(episode_length_s=20.0, batch_window_s=2.0)
@@ -18,19 +21,20 @@ env = DispatchEnv(Dataset(config=cfg, drivers=drivers, orders=orders), seed=0)
 state = env.reset()
 
 print(f"batch 0 pool ({state.n_pairs} candidate pairs):")
-for i, pair in enumerate(state.pool):
-    print(f"  row {i}: order {pair.order_id} x driver {pair.driver_id} "
-          f"pickup={pair.features[0]:.3f} price={pair.features[1]:.3f}")
+for i in range(state.n_pairs):
+    f = state.feature_matrix[i]
+    print(f"  row {i}: order {state.order_ids[i]} x driver {state.driver_ids[i]} "
+          f"pickup={f[F_PICKUP]:.3f} price={f[F_PRICE]:.3f}")
 
-# Inner layer: select row 0, then hold whatever remains.
-sub = initial_substate(state)
-sub = apply_subaction(sub, SubAction(h=0, c=0))
-print(f"\nafter selecting row 0, available rows: {list(sub.remaining_indices())}")
-end = apply_subaction(sub, SubAction(h=1))
-assert isinstance(end, BatchEnd)
-print(f"hold ends the batch: selected={end.selected} held={end.held}")
+# Inner layer: the sub-state is a mask over pool rows. Select row 0, then
+# hold whatever remains.
+mask = np.ones(state.n_pairs, dtype=bool)
+mask = mask_after_selection(state, mask, 0)
+selected, held = [0], np.flatnonzero(mask).tolist()
+print(f"\nafter selecting row 0, available rows: {held}")
+print(f"hold ends the batch: selected={selected} held={held}")
 
-reward, state, done = env.finalize_batch(end.selected, end.held)
+reward, state, done = env.finalize_batch(selected, held)
 print(f"\nbatch reward (order prices, income task): {reward}")
 
 # Let the rest of the episode run with nothing else dispatched.

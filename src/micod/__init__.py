@@ -14,17 +14,17 @@ Subpackages by concern:
 - :mod:`micod.cli` - the ``micod`` command
 """
 
-from .core import Driver, EpisodeConfig, GridCell, Location, OdPair, Order, cell_of, distance
+from .core import Driver, EpisodeConfig, GridCell, Location, Order, cell_of, distance
 from .scenario import Dataset, ScenarioSpec, classify, generate
 from .simulator import MetricsLedger, MetricsReport, SimState, episode_metrics
-from .env import DispatchEnv, OuterState, SubAction, SubState
+from .env import DispatchEnv, OuterState
 
 __all__ = [
-    "Driver", "EpisodeConfig", "GridCell", "Location", "OdPair", "Order",
+    "Driver", "EpisodeConfig", "GridCell", "Location", "Order",
     "cell_of", "distance",
     "Dataset", "ScenarioSpec", "classify", "generate",
     "MetricsLedger", "MetricsReport", "SimState", "episode_metrics",
-    "DispatchEnv", "OuterState", "SubAction", "SubState",
+    "DispatchEnv", "OuterState",
 ]
 
 __version__ = "0.1.0"

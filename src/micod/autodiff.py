@@ -4,7 +4,7 @@ A :class:`Tensor` wraps a float64 ndarray and records the operation graph;
 ``backward()`` accumulates gradients by iterative topological traversal (the
 recurrent chains here get thousands of nodes deep, so no recursion).
 
-The module-level helpers (``exp``, ``concat``, ``take_rows``, ...) dispatch on
+The module-level helpers (``exp``, ``concat``, ``softmax_rows``, ...) dispatch on
 argument type: given plain ndarrays they run straight numpy, given Tensors they
 build graph nodes. Network code written against these helpers therefore runs
 identically in a fast no-gradient mode and a differentiable mode.
@@ -213,10 +213,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def is_tensor(x) -> bool:
-    return isinstance(x, Tensor)
-
-
 # -- dual-mode helpers -------------------------------------------------------------
 
 def exp(x):
@@ -259,11 +255,6 @@ def concat(parts, axis=0):
         out._backward = back
         return out
     return np.concatenate(parts, axis=axis)
-
-
-def take_rows(x, idx):
-    """Row gather that works for both Tensors and ndarrays."""
-    return x[idx]
 
 
 def detach(x):

@@ -11,6 +11,7 @@ import glob
 import os
 import sys
 
+from .d2sn import CheckpointError
 from .harness import DataError, EvalPlan, UsageError, cmd_eval, cmd_generate, cmd_report, parse_policy_id
 from .scenario import DatasetParseError
 
@@ -194,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, DatasetParseError, FileNotFoundError) as exc:
+    except (CheckpointError, DataError, DatasetParseError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,16 +1,16 @@
 """Shared domain vocabulary: planar geometry inside a rectangular geo-fence,
-grid cells, supply/demand entities, candidate pairs and episode configuration.
+grid cells, supply/demand entities and episode configuration.
 
 Everything here is an immutable value object. Mutable lifecycle state (driver
-positions over time, order cancellation, trip progress) lives in the simulator.
+positions over time, order cancellation, trip progress) lives in the simulator;
+the per-batch candidate pool is a set of id arrays plus a feature matrix on
+:class:`micod.env.OuterState`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -35,6 +35,12 @@ class GridCell:
     col: int
 
 
+def _require_finite(what: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{what}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Order:
     id: int
@@ -46,6 +52,10 @@ class Order:
     trip_duration: float
 
     def __post_init__(self):
+        _require_finite(f"order {self.id}", price=self.price, patience=self.patience,
+                        appear_time=self.appear_time, trip_duration=self.trip_duration,
+                        origin_x=self.origin.x, origin_y=self.origin.y,
+                        destination_x=self.destination.x, destination_y=self.destination.y)
         if self.price <= 0:
             raise DomainError(f"order {self.id}: price must be positive, got {self.price}")
         if self.patience <= 0:
@@ -64,23 +74,13 @@ class Driver:
     offline_hazard: float = 0.0  # per-batch probability of leaving while idle
 
     def __post_init__(self):
+        _require_finite(f"driver {self.id}", appear_time=self.appear_time,
+                        offline_hazard=self.offline_hazard,
+                        x=self.position.x, y=self.position.y)
         if not 0.0 <= self.offline_hazard < 1.0:
             raise DomainError(f"driver {self.id}: offline_hazard must be in [0, 1)")
         if self.appear_time < 0:
             raise DomainError(f"driver {self.id}: appear_time must be >= 0")
-
-
-@dataclass(eq=False)
-class OdPair:
-    """Candidate (order, driver) match with its context feature row."""
-
-    order_id: int
-    driver_id: int
-    features: np.ndarray
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.order_id, self.driver_id)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -272,8 +273,11 @@ class ActionRecord:
 
 
 class _Walk:
-    """Shared engine for sampling and teacher-forced replay so both paths run
-    the exact same arithmetic."""
+    """The inner-layer sub-state machine: walks one batch from the full pool,
+    narrowing the available-row mask with :func:`mask_after_selection` after
+    each selection until a hold or an empty pool ends it. Sampling and
+    teacher-forced replay share this engine, so both paths run the exact same
+    arithmetic and enforce the same sub-action rules."""
 
     def __init__(self, state: OuterState, params, config: D2snConfig | None = None,
                  rng: np.random.Generator | None = None,
@@ -320,6 +324,9 @@ class _Walk:
                 held = [int(i) for i in remaining]
                 break
             if len(remaining) == 0:
+                if self.action is not None and self.action.steps[k][1] is not None:
+                    raise IllegalActionError(f"row {self.action.steps[k][1]} not available "
+                                             f"at replay step {k}")
                 steps.append((0, None))
                 step_logps.append(lp_h)
                 break
@@ -334,7 +341,7 @@ class _Walk:
             steps.append((0, c_pool))
             step_logps.append(lp_h + lp_c)
             selected.append(c_pool)
-            mask = mask_after_selection(self.state.pool, mask, c_pool)
+            mask = mask_after_selection(self.state, mask, c_pool)
             k += 1
 
         total = step_logps[0]
@@ -348,7 +355,9 @@ class _Walk:
         if self.action is not None:
             if k >= len(self.action.steps):
                 raise IllegalActionError("replay ran past the recorded sub-actions")
-            h = self.action.steps[k][0]
+            h, c_pool = self.action.steps[k]
+            if h == 1 and c_pool is not None:
+                raise IllegalActionError("recorded hold step must not carry a selection")
         else:
             p_hold = float(np.exp(detach(lp_hold)[1]))
             h = 1 if self.rng.random() < p_hold else 0
@@ -450,25 +459,51 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> tuple[D2snParams, dict]:
+    """Read a container written by :func:`save_checkpoint`. A short read, a
+    malformed header, or tensor names and shapes other than those
+    ``init_params`` gives the stored config all raise :class:`CheckpointError`.
+    Tensors prefixed ``opt_`` (optimizer moments in resume snapshots) are read
+    but not checked against the architecture."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
+            return fh.read(n)
+
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = D2snConfig(**header["config"])
+        (hlen,) = struct.unpack("<I", read(4, "header length"))
+        try:
+            header = json.loads(read(hlen, "header").decode("utf-8"))
+            cfg = D2snConfig(**header["config"])
+            names = [str(n) for n in header["names"]]
+            param_count = int(header["param_count"])
+            extra = header.get("extra", {})
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
         tensors: dict[str, np.ndarray] = {}
-        for name in header["names"]:
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+        for name in names:
+            (ndim,) = struct.unpack("<I", read(4, f"tensor {name}"))
+            shape = struct.unpack(f"<{ndim}q", read(8 * ndim, f"tensor {name}"))
+            if any(n < 0 for n in shape):
+                raise CheckpointError(f"{path}: negative shape {shape} for tensor {name}")
             count = int(np.prod(shape)) if ndim else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
+            buf = read(8 * count, f"tensor {name}")
             tensors[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
     params = D2snParams(cfg, tensors)
-    if params.param_count != header["param_count"]:
+    if params.param_count != param_count:
         raise CheckpointError(f"{path}: parameter count mismatch")
-    return params, header.get("extra", {})
+    expected = {n: t.shape for n, t in init_params(cfg).tensors.items()}
+    found = {n: t.shape for n, t in tensors.items() if not n.startswith("opt_")}
+    if found != expected:
+        missing = sorted(expected.keys() - found.keys())
+        unknown = sorted(found.keys() - expected.keys())
+        reshaped = sorted(n for n in expected.keys() & found.keys() if found[n] != expected[n])
+        raise CheckpointError(f"{path}: tensors do not match the configured architecture "
+                              f"(missing {missing}, unknown {unknown}, reshaped {reshaped})")
+    return params, extra

@@ -2,9 +2,14 @@
 
 The outer layer observes, once per batch, a global context vector plus the
 variable-size pool of eligible order-driver pairs, and is rewarded when the
-batch's assignments execute. The inner layer walks sub-states: each sub-action
-either ends the batch (hold, deferring every remaining pair) or selects one
-pair, which removes all pairs sharing its order or driver.
+batch's assignments execute. The pool is one row per pair: ``order_ids`` and
+``driver_ids`` hold the ids and ``feature_matrix`` the context features, all
+in (order id, driver id) order. The inner layer walks sub-states, tracked as a
+boolean mask over pool rows: each sub-action either ends the batch (hold,
+deferring every remaining row) or selects one row, and
+:func:`mask_after_selection` then removes every row sharing its order or
+driver. :class:`micod.d2sn._Walk` is the walker that samples and replays
+these sub-actions; :meth:`DispatchEnv.finalize_batch` executes the result.
 
 Reward per completed batch:
   TDI mode: sum of assigned order prices.
@@ -14,11 +19,11 @@ Reward per completed batch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpisodeConfig, OdPair, cell_index, cell_of
+from .core import EpisodeConfig, cell_index, cell_of
 from .scenario import Dataset
 from .simulator import SimState
 
@@ -51,83 +56,26 @@ class IllegalActionError(ValueError):
 
 @dataclass
 class OuterState:
-    """Per-batch observation: fixed-size global vector and the pair pool."""
+    """Per-batch observation: fixed-size global vector and the pair pool, one
+    row per pair in (order id, driver id) order."""
 
     global_info: np.ndarray
-    pool: list[OdPair]
-    feature_matrix: np.ndarray  # len(pool) x N_PAIR_FEATURES
+    order_ids: np.ndarray       # int64, one per pool row
+    driver_ids: np.ndarray      # int64, one per pool row
+    feature_matrix: np.ndarray  # n_pairs x N_PAIR_FEATURES
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pool)
+        return len(self.order_ids)
 
 
-@dataclass
-class SubAction:
-    """h = 1 ends the batch; otherwise c indexes a still-available pool row.
-    c is absent exactly when h = 1 or the pool has no rows left."""
-
-    h: int
-    c: int | None = None
-
-
-@dataclass
-class SubState:
-    base: OuterState
-    selected: list[int] = field(default_factory=list)
-    remaining_mask: np.ndarray = None  # bool per pool row
-
-    def __post_init__(self):
-        if self.remaining_mask is None:
-            self.remaining_mask = np.ones(self.base.n_pairs, dtype=bool)
-
-    def remaining_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.remaining_mask)
-
-
-@dataclass
-class BatchEnd:
-    selected: list[int]
-    held: list[int]
-
-
-def initial_substate(state: OuterState) -> SubState:
-    return SubState(base=state)
-
-
-def mask_after_selection(pool: list[OdPair], mask: np.ndarray, c: int) -> np.ndarray:
+def mask_after_selection(state: OuterState, mask: np.ndarray, c: int) -> np.ndarray:
     """Clear every still-available row sharing the chosen row's order or driver
     (including the chosen row itself)."""
-    if c < 0 or c >= len(pool) or not mask[c]:
+    if c < 0 or c >= state.n_pairs or not mask[c]:
         raise IllegalActionError(f"row {c} is not available")
-    chosen = pool[c]
-    new_mask = mask.copy()
-    for i in np.flatnonzero(new_mask):
-        p = pool[int(i)]
-        if p.order_id == chosen.order_id or p.driver_id == chosen.driver_id:
-            new_mask[int(i)] = False
-    return new_mask
-
-
-def apply_subaction(sub: SubState, action: SubAction) -> SubState | BatchEnd:
-    """Pure sub-state transition. Hold ends the batch and defers every
-    remaining row; a selection removes related rows and ends the batch when
-    nothing remains."""
-    remaining = sub.remaining_indices()
-    if action.h == 1:
-        if action.c is not None:
-            raise IllegalActionError("hold sub-action must not carry a selection")
-        return BatchEnd(selected=list(sub.selected), held=[int(i) for i in remaining])
-    if action.c is None:
-        if len(remaining) > 0:
-            raise IllegalActionError("continue sub-action requires a selection "
-                                     "while rows remain")
-        return BatchEnd(selected=list(sub.selected), held=[])
-    new_mask = mask_after_selection(sub.base.pool, sub.remaining_mask, int(action.c))
-    new_selected = sub.selected + [int(action.c)]
-    if not new_mask.any():
-        return BatchEnd(selected=new_selected, held=[])
-    return SubState(base=sub.base, selected=new_selected, remaining_mask=new_mask)
+    o, d = state.order_ids[c], state.driver_ids[c]
+    return mask & (state.order_ids != o) & (state.driver_ids != d)
 
 
 def features_of(driver_id: int, order_id: int, sim: SimState,
@@ -176,6 +124,12 @@ def _cell_counts(sim: SimState) -> tuple[dict[int, int], dict[int, int]]:
     return demand, supply
 
 
+def _id_pairs(state: OuterState, rows: list[int]) -> list[tuple[int, int]]:
+    """(driver_id, order_id) of each pool row, as Python ints."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return list(zip(state.driver_ids[rows].tolist(), state.order_ids[rows].tolist()))
+
+
 def global_info_dim(cfg: EpisodeConfig) -> int:
     return 4 + 2 * cfg.n_cells
 
@@ -208,14 +162,10 @@ class DispatchEnv:
         cells = _cell_counts(sim)
         pairs = sim.eligible_pairs(self.radius)
 
-        pool: list[OdPair] = []
-        if pairs:
-            feats = np.empty((len(pairs), N_PAIR_FEATURES), dtype=np.float64)
-            for i, (d_id, o_id) in enumerate(pairs):
-                feats[i] = features_of(d_id, o_id, sim, _cells=cells)
-                pool.append(OdPair(order_id=o_id, driver_id=d_id, features=feats[i]))
-        else:
-            feats = np.zeros((0, N_PAIR_FEATURES), dtype=np.float64)
+        driver_ids, order_ids = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T.copy()
+        feats = np.empty((len(pairs), N_PAIR_FEATURES), dtype=np.float64)
+        for i, (d_id, o_id) in enumerate(pairs):
+            feats[i] = features_of(d_id, o_id, sim, _cells=cells)
 
         demand_cells, supply_cells = cells
         n_demand = len(sim.open_orders)
@@ -229,7 +179,8 @@ class DispatchEnv:
             g[4 + k] = v / CELL_SCALE
         for k, v in supply_cells.items():
             g[4 + cfg.n_cells + k] = v / CELL_SCALE
-        return OuterState(global_info=g, pool=pool, feature_matrix=feats)
+        return OuterState(global_info=g, order_ids=order_ids, driver_ids=driver_ids,
+                          feature_matrix=feats)
 
     def finalize_batch(self, selected: list[int], held: list[int],
                        state: OuterState | None = None) -> tuple[float, OuterState, bool]:
@@ -238,9 +189,7 @@ class DispatchEnv:
         sim = self._require_sim()
         if state is None:
             state = self._last_state
-        assignments = [(state.pool[i].driver_id, state.pool[i].order_id) for i in selected]
-        held_pairs = [(state.pool[i].driver_id, state.pool[i].order_id) for i in held]
-        sim.step_batch(assignments, held_pairs)
+        sim.step_batch(_id_pairs(state, selected), _id_pairs(state, held))
 
         if self.reward_mode == "TDI":
             reward = sim.ledger.batch_income_sums[-1]

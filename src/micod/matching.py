@@ -219,37 +219,34 @@ def blocking_pairs(order_prefs: list[list[int]], driver_prefs: list[list[int]],
 
 # -- pool helpers and the fixed-delay batch policy ------------------------------
 
-def pool_cost_matrix(state, task: str) -> tuple[CostMatrix, list[int], list[int], dict]:
+def pool_cost_matrix(state, task: str) -> tuple[CostMatrix, np.ndarray, np.ndarray, np.ndarray]:
     """Build the batch matrix for an outer state's pool.
 
     task "distance" minimizes normalized pickup distance (passenger task);
     task "price" maximizes normalized price (income task). Returns the matrix,
-    the sorted order and driver ids backing rows/cols, and a (row, col) ->
-    pool row index map.
+    the sorted order and driver ids backing rows/cols, and a rows x cols array
+    of the pool row behind each eligible entry (-1 where forbidden).
     """
     from .env import F_PICKUP, F_PRICE
     if task not in ("distance", "price"):
         raise DomainError(f"task must be 'distance' or 'price', got {task!r}")
-    order_ids = sorted({p.order_id for p in state.pool})
-    driver_ids = sorted({p.driver_id for p in state.pool})
-    r_of = {o: i for i, o in enumerate(order_ids)}
-    c_of = {d: i for i, d in enumerate(driver_ids)}
-    values = np.zeros((len(order_ids), len(driver_ids)))
-    forbidden = np.ones((len(order_ids), len(driver_ids)), dtype=bool)
-    row_of_rc: dict[tuple[int, int], int] = {}
+    order_ids, r = np.unique(state.order_ids, return_inverse=True)
+    driver_ids, c = np.unique(state.driver_ids, return_inverse=True)
+    shape = (len(order_ids), len(driver_ids))
+    values = np.zeros(shape)
+    forbidden = np.ones(shape, dtype=bool)
+    row_of_rc = np.full(shape, -1, dtype=np.int64)
     col = F_PICKUP if task == "distance" else F_PRICE
-    for idx, p in enumerate(state.pool):
-        r, c = r_of[p.order_id], c_of[p.driver_id]
-        values[r, c] = p.features[col]
-        forbidden[r, c] = False
-        row_of_rc[(r, c)] = idx
+    values[r, c] = state.feature_matrix[:, col]
+    forbidden[r, c] = False
+    row_of_rc[r, c] = np.arange(state.n_pairs)
     mode = "min" if task == "distance" else "max"
     return CostMatrix(values, mode=mode, forbidden=forbidden), order_ids, driver_ids, row_of_rc
 
 
 def solve_pool(state, task: str, solver: str = "km") -> list[int]:
     """Run a one-batch solver over the pool; returns selected pool rows."""
-    if not state.pool:
+    if state.n_pairs == 0:
         return []
     matrix, _, _, row_of_rc = pool_cost_matrix(state, task)
     if solver == "km":
@@ -260,7 +257,7 @@ def solve_pool(state, task: str, solver: str = "km") -> list[int]:
         pairs = gs_match(*prefs_from_cost(matrix))
     else:
         raise DomainError(f"unknown solver {solver!r}")
-    return sorted(row_of_rc[rc] for rc in pairs)
+    return sorted(int(row_of_rc[r, c]) for r, c in pairs)
 
 
 class FixedDelayPolicy:
@@ -288,7 +285,7 @@ class FixedDelayPolicy:
         t = self._t
         self._t += 1
         if not self.should_match(t):
-            return [], list(range(len(state.pool)))
+            return [], list(range(state.n_pairs))
         # max-cardinality matching leaves only rows that conflict with a
         # selection, so nothing survives to be held on matching batches
         return solve_pool(state, self.task, "km"), []

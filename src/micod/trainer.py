@@ -301,6 +301,8 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
 
     rng = np.random.default_rng(cfg.seed)
     start_iter = 0
+    episode_counter = 0
+    wallclock_before = 0.0  # seconds spent in earlier runs of a resumed training
     curves: list[dict] = []
     latest = os.path.join(out_dir, "latest.ckpt") if out_dir else None
 
@@ -325,13 +327,14 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         actor_opt.t = int(extra.get("actor_opt_t", 0))
         critic_opt.t = int(extra.get("critic_opt_t", 0))
         start_iter = int(extra.get("iteration", 0))
+        episode_counter = int(extra.get("episodes", 0))
+        wallclock_before = float(extra.get("wallclock", 0.0))
         if "rng_state" in extra:
             rng.bit_generator.state = extra["rng_state"]
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    episode_counter = 0
     t0 = time.monotonic()
     for it in range(start_iter, cfg.iterations):
         def factory(seed: int, _ds=datasets):
@@ -357,7 +360,7 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
             "mean_reward": mean_reward,
             "cr": float(np.mean(crs)) if crs else 0.0,
             "metric": float(np.mean(metric_vals)) if metric_vals else 0.0,
-            "wallclock": time.monotonic() - t0,
+            "wallclock": wallclock_before + time.monotonic() - t0,
         }
         curves.append(row)
         if progress:
@@ -374,6 +377,8 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
                 snap.tensors["opt_v_" + n] = critic_opt.v[n]
             save_checkpoint(snap, latest, extra={
                 "iteration": it + 1,
+                "episodes": episode_counter,
+                "wallclock": row["wallclock"],
                 "actor_opt_t": actor_opt.t,
                 "critic_opt_t": critic_opt.t,
                 "rng_state": rng.bit_generator.state,

@@ -14,7 +14,7 @@ import pytest
 
 from crafted import build_crafted_dataset, dp_optimal_reward
 from micod.autodiff import to_float
-from micod.core import EpisodeConfig, OdPair
+from micod.core import EpisodeConfig
 from micod.d2sn import (D2snConfig, as_tensors, critic_value, decision_head, encode,
                         aggregate, hold_head, init_params, log_prob, sample_action)
 from micod.env import DispatchEnv, OuterState, global_info_dim
@@ -74,10 +74,10 @@ def test_c02_gs_has_no_blocking_pairs():
 
 def _random_state(rng, n_pairs, g_dim):
     feats = rng.normal(size=(n_pairs, 12))
-    ids = [(int(rng.integers(0, 4)), int(rng.integers(0, 4))) for _ in range(n_pairs)]
-    pool = [OdPair(order_id=o, driver_id=d, features=feats[i])
-            for i, (o, d) in enumerate(ids)]
-    return OuterState(global_info=rng.normal(size=g_dim), pool=pool, feature_matrix=feats)
+    ids = np.array([(int(rng.integers(0, 4)), int(rng.integers(0, 4))) for _ in range(n_pairs)],
+                   dtype=np.int64).reshape(n_pairs, 2)
+    return OuterState(global_info=rng.normal(size=g_dim), order_ids=ids[:, 0],
+                      driver_ids=ids[:, 1], feature_matrix=feats)
 
 
 def test_c03_factorized_log_prob():
@@ -346,17 +346,19 @@ def test_c10_conservation_and_return_identity():
             n = state.n_pairs
             selected = []
             used_o, used_d = set(), set()
+            order_ids = state.order_ids.tolist()
+            driver_ids = state.driver_ids.tolist()
             for i in rng.permutation(n):
-                p = state.pool[int(i)]
-                if p.order_id in used_o or p.driver_id in used_d:
+                o, d = order_ids[int(i)], driver_ids[int(i)]
+                if o in used_o or d in used_d:
                     continue
                 if rng.random() < 0.4:
                     selected.append(int(i))
-                    used_o.add(p.order_id)
-                    used_d.add(p.driver_id)
+                    used_o.add(o)
+                    used_d.add(d)
             held = [i for i in range(n) if i not in set(selected)
-                    and state.pool[i].order_id not in used_o
-                    and state.pool[i].driver_id not in used_d]
+                    and order_ids[i] not in used_o
+                    and driver_ids[i] not in used_d]
             reward, state, done = env.finalize_batch(selected, held)
             rewards.append(reward)
             env.sim.assert_conservation()

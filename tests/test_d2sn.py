@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from micod.autodiff import Tensor, to_float
-from micod.core import OdPair
 from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, aggregate, as_tensors,
                         critic_value, decision_head, encode, hold_head, init_params,
                         load_checkpoint, log_prob, sample_action, save_checkpoint)
@@ -21,9 +20,9 @@ def params():
 def make_state(pairs_spec, seed=0, g_dim=8):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(len(pairs_spec), 12))
-    pool = [OdPair(order_id=o, driver_id=d, features=feats[i])
-            for i, (o, d) in enumerate(pairs_spec)]
-    return OuterState(global_info=rng.normal(size=g_dim), pool=pool, feature_matrix=feats)
+    ids = np.array(pairs_spec, dtype=np.int64).reshape(len(pairs_spec), 2)
+    return OuterState(global_info=rng.normal(size=g_dim), order_ids=ids[:, 0],
+                      driver_ids=ids[:, 1], feature_matrix=feats)
 
 
 # -- encoder -------------------------------------------------------------------
@@ -237,8 +236,8 @@ def test_selected_pairs_are_id_disjoint(params):
     for trial in range(20):
         s = make_state([(i, j) for i in range(4) for j in range(4)], seed=trial)
         a = sample_action(s, params, rng, force_exhaustive=bool(trial % 2))
-        orders = [s.pool[i].order_id for i in a.selected]
-        drivers = [s.pool[i].driver_id for i in a.selected]
+        orders = s.order_ids[a.selected].tolist()
+        drivers = s.driver_ids[a.selected].tolist()
         assert len(set(orders)) == len(orders)
         assert len(set(drivers)) == len(drivers)
 
@@ -301,6 +300,53 @@ def test_checkpoint_rejects_garbage(tmp_path):
     from micod.d2sn import CheckpointError
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_truncation_raises_checkpoint_error(tmp_path, params):
+    from micod.d2sn import CheckpointError
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(params, path)
+    blob = path.read_bytes()
+    for cut in (0, 8, 10, 14, 16, 20, 200, len(blob) // 2, len(blob) - 8, len(blob) - 1):
+        (tmp_path / "cut.ckpt").write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "cut.ckpt")
+
+
+def test_checkpoint_bad_header_raises_checkpoint_error(tmp_path, params):
+    import json
+    import struct
+    from micod.d2sn import CheckpointError
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(params, path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + hlen])
+    for bad in (b"{not json", json.dumps([1, 2]).encode(),
+                json.dumps({k: v for k, v in header.items() if k != "names"}).encode(),
+                json.dumps({**header, "config": {"d_model": 7}}).encode()):
+        (tmp_path / "bad.ckpt").write_bytes(blob[:12] + struct.pack("<I", len(bad)) + bad
+                                            + blob[16 + hlen:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def test_checkpoint_tensor_names_and_shapes_must_match_config(tmp_path, params):
+    from micod.d2sn import CheckpointError
+    renamed = {("emb_weight" if n == "emb_w" else n): t for n, t in params.tensors.items()}
+    save_checkpoint(D2snParams(params.config, renamed), tmp_path / "renamed.ckpt")
+    with pytest.raises(CheckpointError, match="emb_w"):
+        load_checkpoint(tmp_path / "renamed.ckpt")
+    # same parameter count, different shape
+    reshaped = dict(params.tensors, emb_w=params.tensors["emb_w"].reshape(-1, 12))
+    save_checkpoint(D2snParams(params.config, reshaped), tmp_path / "reshaped.ckpt")
+    with pytest.raises(CheckpointError, match="emb_w"):
+        load_checkpoint(tmp_path / "reshaped.ckpt")
+    # optimizer moments in resume snapshots are not part of the architecture
+    snap = dict(params.tensors, opt_m_emb_w=np.zeros((3, 5)))
+    save_checkpoint(D2snParams(params.config, snap), tmp_path / "snap.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "snap.ckpt")
+    assert loaded.tensors["opt_m_emb_w"].shape == (3, 5)
 
 
 def test_tensor_mode_matches_fast_mode(params):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from micod.core import Driver, EpisodeConfig, Location, OdPair, Order
+from micod.autodiff import to_float
+from micod.core import Driver, EpisodeConfig, Location, Order
+from micod.d2sn import ActionRecord, D2snConfig, init_params, log_prob, sample_action
 from micod.env import (F_BATCH, F_BIAS, F_PATIENCE, F_PICKUP, F_PRICE, F_WAIT,
-                       BatchEnd, DispatchEnv, IllegalActionError, OuterState,
-                       SubAction, apply_subaction, features_of, global_info_dim,
-                       initial_substate)
+                       DispatchEnv, IllegalActionError, OuterState, features_of,
+                       global_info_dim, mask_after_selection)
 from micod.scenario import Dataset
 from micod.simulator import SimState
 
@@ -24,9 +25,13 @@ def pool_state(pairs_spec):
     """OuterState with synthetic feature rows; pairs_spec = [(order, driver)]."""
     n = len(pairs_spec)
     feats = np.arange(n * 12, dtype=float).reshape(n, 12) / 100.0
-    pool = [OdPair(order_id=o, driver_id=d, features=feats[i])
-            for i, (o, d) in enumerate(pairs_spec)]
-    return OuterState(global_info=np.zeros(4), pool=pool, feature_matrix=feats)
+    ids = np.array(pairs_spec, dtype=np.int64).reshape(n, 2)
+    return OuterState(global_info=np.zeros(4), order_ids=ids[:, 0], driver_ids=ids[:, 1],
+                      feature_matrix=feats)
+
+
+def pool_ids(state):
+    return list(zip(state.order_ids.tolist(), state.driver_ids.tolist()))
 
 
 # -- reset / outer state -------------------------------------------------------
@@ -53,7 +58,7 @@ def test_reset_cross_product_pool():
     env = DispatchEnv(make_dataset(drivers, orders), seed=0)
     s = env.reset()
     assert s.n_pairs == 6
-    keys = [(p.order_id, p.driver_id) for p in s.pool]
+    keys = pool_ids(s)
     assert keys == sorted(keys)
 
 
@@ -83,45 +88,75 @@ def test_features_pair_at_exact_radius():
 
 
 # -- sub-state transitions --------------------------------------------------------
+# The inner layer is mask_after_selection walked by d2sn's sampler/replayer.
+# The policy below has uniform heads (init_params zeroes the hold output layer
+# and the decision query) with the hold bias pinned to always or never hold.
 
-def test_apply_subaction_masks_related_rows():
+def walk_params(always_hold):
+    params = init_params(D2snConfig(d_model=8, n_heads=2, g_dim=4), seed=0)
+    params.tensors["hold_b2"][:] = [[-1e3, 0.0]] if always_hold else [[0.0, -1e3]]
+    return params
+
+
+def record(steps):
+    return ActionRecord(steps=steps, selected=[c for _, c in steps if c is not None],
+                        held=[], exhaustive=False, logp=0.0)
+
+
+def sample_starting_with(state, row):
+    """A never-hold sampled action whose first sub-action selects ``row``."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        a = sample_action(state, walk_params(always_hold=False), rng)
+        if a.steps[0] == (0, row):
+            return a
+    pytest.fail(f"no sampled action started by selecting row {row}")
+
+
+def test_mask_after_selection_masks_related_rows():
     s = pool_state([(1, 1), (2, 1), (1, 2), (2, 2)])
-    sub = initial_substate(s)
-    out = apply_subaction(sub, SubAction(h=0, c=0))  # pick (o1, d1)
-    assert not isinstance(out, BatchEnd)
-    assert list(out.remaining_indices()) == [3]  # only (o2, d2) survives
-    assert out.selected == [0]
+    mask = mask_after_selection(s, np.ones(4, dtype=bool), 0)  # pick (o1, d1)
+    assert np.flatnonzero(mask).tolist() == [3]  # only (o2, d2) survives
+    a = sample_starting_with(s, 0)
+    assert a.selected == [0, 3]
 
 
-def test_apply_subaction_hold_defers_everything():
+def test_hold_defers_everything():
     s = pool_state([(1, 1), (2, 1), (1, 2), (2, 2)])
-    out = apply_subaction(initial_substate(s), SubAction(h=1))
-    assert isinstance(out, BatchEnd)
-    assert out.held == [0, 1, 2, 3]
-    assert out.selected == []
+    a = sample_action(s, walk_params(always_hold=True), np.random.default_rng(0))
+    assert a.steps == [(1, None)]
+    assert a.held == [0, 1, 2, 3]
+    assert a.selected == []
 
 
-def test_apply_subaction_disjoint_sequence_ends_with_zero_held():
+def test_disjoint_sequence_ends_with_zero_held():
     s = pool_state([(1, 1), (2, 2)])
-    sub = apply_subaction(initial_substate(s), SubAction(h=0, c=0))
-    out = apply_subaction(sub, SubAction(h=0, c=1))
-    assert isinstance(out, BatchEnd)
-    assert out.selected == [0, 1]
-    assert out.held == []
+    mask = mask_after_selection(s, np.ones(2, dtype=bool), 0)
+    assert not mask_after_selection(s, mask, 1).any()
+    a = sample_starting_with(s, 0)
+    assert a.steps == [(0, 0), (0, 1), (0, None)]
+    assert a.selected == [0, 1]
+    assert a.held == []
+    total, per_step = log_prob(s, record(a.steps), walk_params(always_hold=False))
+    assert len(per_step) == 3 and to_float(total) == a.logp
 
 
-def test_apply_subaction_rejects_masked_row():
+def test_mask_after_selection_rejects_masked_row():
     s = pool_state([(1, 1), (1, 2)])
-    sub = apply_subaction(initial_substate(s), SubAction(h=0, c=0))
-    assert isinstance(sub, BatchEnd)  # picking (1,1) masks (1,2): pool empty
+    mask = mask_after_selection(s, np.ones(2, dtype=bool), 0)
+    assert not mask.any()  # picking (1,1) masks (1,2): pool empty
     with pytest.raises(IllegalActionError):
-        apply_subaction(initial_substate(s), SubAction(h=0, c=5))
+        mask_after_selection(s, np.ones(2, dtype=bool), 5)
+    with pytest.raises(IllegalActionError):
+        mask_after_selection(s, mask, 1)
+    with pytest.raises(IllegalActionError):
+        log_prob(s, record([(0, 0), (0, 1)]), walk_params(always_hold=False))
 
 
-def test_apply_subaction_hold_with_selection_rejected():
+def test_replay_rejects_hold_with_selection():
     s = pool_state([(1, 1)])
     with pytest.raises(IllegalActionError):
-        apply_subaction(initial_substate(s), SubAction(h=1, c=0))
+        log_prob(s, record([(1, 0)]), walk_params(always_hold=True))
 
 
 # -- finalize / rewards -------------------------------------------------------------
@@ -133,7 +168,7 @@ def _two_pair_env(reward_mode):
     ds = make_dataset(drivers, orders)
     env = DispatchEnv(ds, reward_mode=reward_mode, seed=0)
     s = env.reset()
-    rows = {(p.order_id, p.driver_id): i for i, p in enumerate(s.pool)}
+    rows = {key: i for i, key in enumerate(pool_ids(s))}
     return env, s, rows
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import numpy as np
@@ -308,6 +309,35 @@ def test_cli_scale_zero_usage_error(tmp_path):
 
 def test_cli_data_error_on_missing_dataset(tmp_path):
     rc = main(["eval", "--policy", "km", "--dataset", str(tmp_path / "nothing.jsonl"),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("field", ["price", "patience"])
+def test_cli_eval_non_finite_dataset_is_data_error(tmp_path, field):
+    path = tmp_path / "d.jsonl"
+    small_dataset(str(path))
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "order")
+    rec = json.loads(lines[i])
+    rec[field] = float("nan")
+    lines[i] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--policy", "km", "--dataset", str(path), "--seeds", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+
+
+def test_cli_eval_truncated_checkpoint_is_data_error(tmp_path):
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:200])
+    rc = main(["eval", "--policy", f"d2sn({ckpt})", "--dataset", ds_path, "--seeds", "1",
                "--out", str(tmp_path / "o.csv")])
     assert rc == EXIT_DATA
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from micod.core import DomainError
+from micod.env import F_PICKUP, F_PRICE, N_PAIR_FEATURES, OuterState
 from micod.matching import (CostMatrix, FixedDelayPolicy, blocking_pairs,
                             brute_force_match, greedy_match, gs_match, km_match,
-                            prefs_from_cost)
+                            pool_cost_matrix, prefs_from_cost, solve_pool)
 
 
 def test_greedy_1x1():
@@ -138,6 +139,25 @@ def test_prefs_from_cost_orders_by_value_then_id():
     order_prefs, driver_prefs = prefs_from_cost(m)
     assert order_prefs == [[1, 2, 0]]
     assert driver_prefs == [[0], [0], [0]]
+
+
+def test_pool_cost_matrix_hand_instance():
+    # rows: (order 5, driver 2), (order 3, driver 2), (order 5, driver 9)
+    feats = np.zeros((3, N_PAIR_FEATURES))
+    feats[:, F_PRICE] = [1.0, 2.0, 3.0]
+    feats[:, F_PICKUP] = [0.5, 0.25, 0.75]
+    state = OuterState(global_info=np.zeros(4), order_ids=np.array([5, 3, 5]),
+                       driver_ids=np.array([2, 2, 9]), feature_matrix=feats)
+    m, order_ids, driver_ids, row_of_rc = pool_cost_matrix(state, "price")
+    assert order_ids.tolist() == [3, 5] and driver_ids.tolist() == [2, 9]
+    assert m.mode == "max"
+    assert m.values.tolist() == [[2.0, 0.0], [1.0, 3.0]]
+    assert m.forbidden.tolist() == [[False, True], [False, False]]
+    assert row_of_rc.tolist() == [[1, -1], [0, 2]]
+    m, _, _, _ = pool_cost_matrix(state, "distance")
+    assert m.mode == "min" and m.values.tolist() == [[0.25, 0.0], [0.5, 0.75]]
+    for solver in ("km", "greedy", "gs"):
+        assert solve_pool(state, "price", solver) == [1, 2]
 
 
 def test_fixed_delay_schedule():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -118,6 +119,34 @@ def test_load_missing_header(tmp_path):
     with pytest.raises(DatasetParseError) as err:
         load(path)
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("kind,field,value,reported", [
+    ("order", "price", float("nan"), "price"),
+    ("order", "patience", float("nan"), "patience"),
+    ("order", "appear_time", float("inf"), "appear_time"),
+    ("order", "trip_duration", float("nan"), "trip_duration"),
+    ("order", "ox", float("nan"), "origin_x"),
+    ("order", "dy", float("-inf"), "destination_y"),
+    ("driver", "x", float("nan"), "x"),
+    ("driver", "appear_time", float("nan"), "appear_time"),
+    ("driver", "offline_hazard", float("nan"), "offline_hazard"),
+])
+def test_load_rejects_non_finite_values_with_line(tmp_path, kind, field, value, reported):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1)
+                   if json.loads(line)["kind"] == kind)
+    rec = json.loads(lines[line_no - 1])
+    rec[field] = value
+    lines[line_no - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == line_no
+    assert reported in str(err.value)
 
 
 def test_load_empty_file(tmp_path):

@@ -233,6 +233,12 @@ def test_train_resume_continues_from_checkpoint(tmp_path):
     resumed = train(cfg2, [ds], out_dir=str(tmp_path), resume=True)
     assert len(resumed.curves) == 2  # iterations 3 and 4 only
     assert resumed.curves[0]["iteration"] == 3
+    assert [row["episodes"] for row in resumed.curves] == [3, 4]
+    assert resumed.curves[0]["wallclock"] >= first.curves[-1]["wallclock"]
+    assert resumed.curves[1]["wallclock"] >= resumed.curves[0]["wallclock"]
+    straight = train(cfg2, [ds], out_dir=None)
+    for name, t in straight.params.tensors.items():
+        assert np.array_equal(resumed.params.tensors[name], t), name
 
 
 def test_train_requires_datasets():
