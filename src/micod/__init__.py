@@ -14,14 +14,14 @@ Subpackages by concern:
 - :mod:`micod.cli` - the ``micod`` command
 """
 
-from .core import Driver, EpisodeConfig, GridCell, Location, Order, cell_of, distance
+from .core import Driver, EpisodeConfig, Location, Order, cell_ids, distance
 from .scenario import Dataset, ScenarioSpec, classify, generate
 from .simulator import MetricsLedger, MetricsReport, SimState, episode_metrics
 from .env import DispatchEnv, OuterState
 
 __all__ = [
-    "Driver", "EpisodeConfig", "GridCell", "Location", "Order",
-    "cell_of", "distance",
+    "Driver", "EpisodeConfig", "Location", "Order",
+    "cell_ids", "distance",
     "Dataset", "ScenarioSpec", "classify", "generate",
     "MetricsLedger", "MetricsReport", "SimState", "episode_metrics",
     "DispatchEnv", "OuterState",

@@ -37,6 +37,19 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _setting(flag, cfgd: dict[str, str], path: str, key: str, convert, default=None):
+    """``flag`` if given, else ``convert(cfgd[key])``, else ``default``. A
+    config value that does not convert is a data error naming file and key."""
+    if flag is not None:
+        return flag
+    if key not in cfgd:
+        return default
+    try:
+        return convert(cfgd[key])
+    except ValueError as exc:
+        raise DataError(f"{path}: bad value for {key}: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="micod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,15 +114,14 @@ def _run_train(args) -> int:
         "force_exhaustive": lambda v: v.lower() in ("1", "true", "yes"),
         "seed": int,
     }
-    for key, value in raw.items():
+    for key in raw:
         if key not in types:
             raise DataError(f"{args.config}: unknown key {key!r}")
-        try:
-            kwargs[key] = types[key](value)
-        except ValueError as exc:
-            raise DataError(f"{args.config}: bad value for {key}: {exc}") from exc
-
-    cfg = TrainConfig(**kwargs)
+        kwargs[key] = _setting(None, raw, args.config, key, types[key])
+    try:
+        cfg = TrainConfig(**kwargs)
+    except ValueError as exc:
+        raise DataError(f"{args.config}: {exc}") from exc
     datasets = [load(p) for p in paths]
 
     from .d2sn import D2snConfig, init_params
@@ -143,15 +155,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             cfgd = parse_config_file(args.config) if args.config else {}
             level = args.level or cfgd.get("level")
-            cap = args.bin if args.bin is not None else int(cfgd.get("bin", 0))
-            count = args.count if args.count is not None else int(cfgd.get("count", 1))
-            scale = args.scale if args.scale is not None else float(cfgd.get("scale", 1.0))
-            seed = args.seed if args.seed is not None else int(cfgd.get("seed", 0))
+            cap = _setting(args.bin, cfgd, args.config, "bin", int, 0)
+            count = _setting(args.count, cfgd, args.config, "count", int, 1)
+            scale = _setting(args.scale, cfgd, args.config, "scale", float, 1.0)
+            seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)
             out = args.out or cfgd.get("out")
             if not level or not cap or not out:
                 raise UsageError("generate needs --level, --bin and --out "
                                  "(flags or config entries)")
-            if scale <= 0 or scale > 1:
+            if not 0 < scale <= 1:
                 raise UsageError(f"--scale must be in (0, 1], got {scale}")
             paths = cmd_generate(level, cap, count, scale, seed, out)
             from .scenario import classify, load
@@ -166,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
                                          cfgd.get("policies", "").split(",") if p.strip()]
             dataset_args = args.dataset or [p.strip() for p in
                                             cfgd.get("datasets", "").split(",") if p.strip()]
-            n_seeds = args.seeds if args.seeds is not None else int(cfgd.get("seeds", 30))
-            first_seed = args.seed if args.seed is not None else int(cfgd.get("seed", 0))
+            n_seeds = _setting(args.seeds, cfgd, args.config, "seeds", int, 30)
+            first_seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)
             mode = args.mode or cfgd.get("mode", "TDI")
             out = args.out or cfgd.get("out")
             if not policy_ids or not dataset_args or not out:

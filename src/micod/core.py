@@ -1,16 +1,18 @@
 """Shared domain vocabulary: planar geometry inside a rectangular geo-fence,
 grid cells, supply/demand entities and episode configuration.
 
-Everything here is an immutable value object. Mutable lifecycle state (driver
-positions over time, order cancellation, trip progress) lives in the simulator;
-the per-batch candidate pool is a set of id arrays plus a feature matrix on
-:class:`micod.env.OuterState`.
+Entities and configuration are immutable value objects; grid cells are flat
+indices that :func:`cell_ids` computes for whole arrays of points. Mutable
+lifecycle state lives in the simulator; the per-batch candidate pool is a set
+of id arrays plus a feature matrix on :class:`micod.env.OuterState`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -18,7 +20,11 @@ class DomainError(ValueError):
 
 
 class OutOfFenceError(DomainError):
-    """Location outside the configured geo-fence."""
+    """Location outside the geo-fence; ``index`` is its position in the input."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -27,12 +33,6 @@ class Location:
 
     x: float
     y: float
-
-
-@dataclass(frozen=True)
-class GridCell:
-    row: int
-    col: int
 
 
 def _require_finite(what: str, **values: float) -> None:
@@ -101,6 +101,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite("episode config", **{f.name: getattr(self, f.name)
+                                             for f in fields(self) if f.type == "float"})
         if self.episode_length_s <= 0 or self.batch_window_s <= 0:
             raise DomainError("episode_length_s and batch_window_s must be positive")
         ratio = self.episode_length_s / self.batch_window_s
@@ -135,19 +137,17 @@ def distance(a: Location, b: Location) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def in_fence(p: Location, cfg: EpisodeConfig) -> bool:
-    return 0.0 <= p.x <= cfg.fence_width_m and 0.0 <= p.y <= cfg.fence_height_m
-
-
-def cell_of(p: Location, cfg: EpisodeConfig) -> GridCell:
-    """Grid cell containing ``p``; the fence boundary belongs to the last cell."""
-    if not in_fence(p, cfg):
-        raise OutOfFenceError(f"({p.x}, {p.y}) outside fence "
-                              f"{cfg.fence_width_m} x {cfg.fence_height_m}")
-    row = min(int(p.y // cfg.cell_size_m), cfg.grid_rows - 1)
-    col = min(int(p.x // cfg.cell_size_m), cfg.grid_cols - 1)
-    return GridCell(row, col)
-
-
-def cell_index(cell: GridCell, cfg: EpisodeConfig) -> int:
-    return cell.row * cfg.grid_cols + cell.col
+def cell_ids(xs, ys, cfg: EpisodeConfig) -> np.ndarray:
+    """Flat grid-cell index of each point (``xs[i]``, ``ys[i]``); the fence
+    boundary belongs to the last cell. Raises :class:`OutOfFenceError` naming
+    the first point outside the fence."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = (0.0 <= xs) & (xs <= cfg.fence_width_m) & (0.0 <= ys) & (ys <= cfg.fence_height_m)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutOfFenceError(i, f"({xs[i]}, {ys[i]}) outside fence "
+                                 f"{cfg.fence_width_m} x {cfg.fence_height_m}")
+    rows = np.minimum(ys // cfg.cell_size_m, cfg.grid_rows - 1).astype(np.int64)
+    cols = np.minimum(xs // cfg.cell_size_m, cfg.grid_cols - 1).astype(np.int64)
+    return rows * cfg.grid_cols + cols

@@ -50,14 +50,6 @@ class D2snConfig:
             raise ValueError("all dimensions must be positive")
 
 
-def _attn_names(prefix: str) -> list[str]:
-    return [prefix + n for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-
-
-def _gru_names(prefix: str) -> list[str]:
-    return [prefix + n for n in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")]
-
-
 @dataclass
 class D2snParams:
     """Named parameter tensors plus the config that shaped them."""

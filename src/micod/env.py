@@ -4,7 +4,9 @@ The outer layer observes, once per batch, a global context vector plus the
 variable-size pool of eligible order-driver pairs, and is rewarded when the
 batch's assignments execute. The pool is one row per pair: ``order_ids`` and
 ``driver_ids`` hold the ids and ``feature_matrix`` the context features, all
-in (order id, driver id) order. The inner layer walks sub-states, tracked as a
+in (order id, driver id) order, built in one array pass per batch: each open
+order and idle driver is read once, and every feature column is an array
+expression over the pool rows. The inner layer walks sub-states, tracked as a
 boolean mask over pool rows: each sub-action either ends the batch (hold,
 deferring every remaining row) or selects one row, and
 :func:`mask_after_selection` then removes every row sharing its order or
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpisodeConfig, cell_index, cell_of
+from .core import EpisodeConfig, cell_ids
 from .scenario import Dataset
 from .simulator import SimState
 
@@ -78,52 +80,6 @@ def mask_after_selection(state: OuterState, mask: np.ndarray, c: int) -> np.ndar
     return mask & (state.order_ids != o) & (state.driver_ids != d)
 
 
-def features_of(driver_id: int, order_id: int, sim: SimState,
-                _cells: tuple[dict, dict] | None = None) -> np.ndarray:
-    """Feature row for an eligible (driver, order) pair in the current batch."""
-    cfg = sim.config
-    idle = sim.idle[driver_id]
-    order = sim.open_orders[order_id]
-    if _cells is None:
-        _cells = _cell_counts(sim)
-    demand_cells, supply_cells = _cells
-
-    pickup_m = np.hypot(idle.position.x - order.origin.x, idle.position.y - order.origin.y)
-    waiting_s = sim.clock - order.appear_time
-    origin_cell = cell_index(cell_of(order.origin, cfg), cfg)
-    driver_cell = cell_index(cell_of(idle.position, cfg), cfg)
-    origin_demand = demand_cells.get(origin_cell, 0)
-    origin_supply = supply_cells.get(origin_cell, 0)
-
-    f = np.empty(N_PAIR_FEATURES, dtype=np.float64)
-    f[F_PICKUP] = pickup_m / cfg.match_radius_m
-    f[F_PRICE] = order.price / PRICE_SCALE
-    f[F_WAIT] = waiting_s / TIME_SCALE
-    f[F_PATIENCE] = max(0.0, 1.0 - waiting_s / order.patience)
-    f[F_IDLE] = (sim.clock - idle.idle_since) / TIME_SCALE
-    f[F_TRIP] = order.trip_duration / TRIP_SCALE
-    f[F_ORIGIN_DEMAND] = origin_demand / CELL_SCALE
-    f[F_ORIGIN_SUPPLY] = origin_supply / CELL_SCALE
-    f[F_DRIVER_SUPPLY] = supply_cells.get(driver_cell, 0) / CELL_SCALE
-    f[F_LOCAL_RATIO] = min(origin_demand / max(origin_supply, 1), RATIO_CAP) / RATIO_CAP
-    f[F_BATCH] = sim.clock / cfg.episode_length_s
-    f[F_BIAS] = 1.0
-    return f
-
-
-def _cell_counts(sim: SimState) -> tuple[dict[int, int], dict[int, int]]:
-    cfg = sim.config
-    demand: dict[int, int] = {}
-    supply: dict[int, int] = {}
-    for order in sim.open_orders.values():
-        k = cell_index(cell_of(order.origin, cfg), cfg)
-        demand[k] = demand.get(k, 0) + 1
-    for idle in sim.idle.values():
-        k = cell_index(cell_of(idle.position, cfg), cfg)
-        supply[k] = supply.get(k, 0) + 1
-    return demand, supply
-
-
 def _id_pairs(state: OuterState, rows: list[int]) -> list[tuple[int, int]]:
     """(driver_id, order_id) of each pool row, as Python ints."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -140,14 +96,13 @@ class DispatchEnv:
     and returns (reward, next outer state, done)."""
 
     def __init__(self, dataset: Dataset, reward_mode: str | None = None,
-                 seed: int | None = None, radius: float | None = None):
+                 seed: int | None = None):
         self.dataset = dataset
         self.config = dataset.config
         self.reward_mode = reward_mode or self.config.reward_mode
         if self.reward_mode not in ("APD", "TDI"):
             raise ValueError(f"reward mode must be APD or TDI, got {self.reward_mode!r}")
         self.seed = self.config.seed if seed is None else seed
-        self.radius = self.config.match_radius_m if radius is None else radius
         self.sim: SimState | None = None
 
     def reset(self) -> OuterState:
@@ -157,28 +112,56 @@ class DispatchEnv:
         return state
 
     def _build_outer(self) -> OuterState:
+        """One array pass: gather each open order and idle driver once, then
+        compute every feature column over all pool rows at once."""
         sim = self._require_sim()
         cfg = self.config
-        cells = _cell_counts(sim)
-        pairs = sim.eligible_pairs(self.radius)
+        pairs = sim.eligible_pairs()
+        driver_ids, order_ids = pairs.T
 
-        driver_ids, order_ids = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T.copy()
+        o_ids = np.array(sorted(sim.open_orders), dtype=np.int64)
+        ox, oy, appear, patience, price, trip = np.array(
+            [(o.origin.x, o.origin.y, o.appear_time, o.patience, o.price, o.trip_duration)
+             for _, o in sorted(sim.open_orders.items())]).reshape(-1, 6).T
+        d_ids = np.array(sorted(sim.idle), dtype=np.int64)
+        dx, dy, idle_since = np.array(
+            [(i.position.x, i.position.y, i.idle_since)
+             for _, i in sorted(sim.idle.items())]).reshape(-1, 3).T
+        waiting_s = sim.clock - appear
+
+        o_cell = cell_ids(ox, oy, cfg)
+        d_cell = cell_ids(dx, dy, cfg)
+        demand = np.bincount(o_cell, minlength=cfg.n_cells)
+        supply = np.bincount(d_cell, minlength=cfg.n_cells)
+
+        # pool row -> entity row
+        oi = np.searchsorted(o_ids, order_ids)
+        di = np.searchsorted(d_ids, driver_ids)
+        origin_demand = demand[o_cell[oi]]
+        origin_supply = supply[o_cell[oi]]
+
         feats = np.empty((len(pairs), N_PAIR_FEATURES), dtype=np.float64)
-        for i, (d_id, o_id) in enumerate(pairs):
-            feats[i] = features_of(d_id, o_id, sim, _cells=cells)
+        feats[:, F_PICKUP] = np.hypot(dx[di] - ox[oi], dy[di] - oy[oi]) / cfg.match_radius_m
+        feats[:, F_PRICE] = price[oi] / PRICE_SCALE
+        feats[:, F_WAIT] = waiting_s[oi] / TIME_SCALE
+        feats[:, F_PATIENCE] = np.maximum(0.0, 1.0 - waiting_s / patience)[oi]
+        feats[:, F_IDLE] = (sim.clock - idle_since[di]) / TIME_SCALE
+        feats[:, F_TRIP] = trip[oi] / TRIP_SCALE
+        feats[:, F_ORIGIN_DEMAND] = origin_demand / CELL_SCALE
+        feats[:, F_ORIGIN_SUPPLY] = origin_supply / CELL_SCALE
+        feats[:, F_DRIVER_SUPPLY] = supply[d_cell[di]] / CELL_SCALE
+        feats[:, F_LOCAL_RATIO] = np.minimum(origin_demand / np.maximum(origin_supply, 1),
+                                             RATIO_CAP) / RATIO_CAP
+        feats[:, F_BATCH] = sim.clock / cfg.episode_length_s
+        feats[:, F_BIAS] = 1.0
 
-        demand_cells, supply_cells = cells
-        n_demand = len(sim.open_orders)
-        n_supply = len(sim.idle)
-        g = np.zeros(global_info_dim(cfg), dtype=np.float64)
+        n_demand, n_supply = len(o_ids), len(d_ids)
+        g = np.empty(global_info_dim(cfg), dtype=np.float64)
         g[0] = n_demand / COUNT_SCALE
         g[1] = n_supply / COUNT_SCALE
         g[2] = min(n_demand / max(n_supply, 1), RATIO_CAP) / RATIO_CAP
         g[3] = sim.clock / cfg.episode_length_s
-        for k, v in demand_cells.items():
-            g[4 + k] = v / CELL_SCALE
-        for k, v in supply_cells.items():
-            g[4 + cfg.n_cells + k] = v / CELL_SCALE
+        g[4:] = np.concatenate([demand, supply]) / CELL_SCALE
         return OuterState(global_info=g, order_ids=order_ids, driver_ids=driver_ids,
                           feature_matrix=feats)
 

@@ -12,7 +12,6 @@ import io
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +86,8 @@ class EvalPlan:
             raise UsageError("evaluation plan needs at least one policy")
         if not self.dataset_paths:
             raise UsageError("evaluation plan needs at least one dataset")
+        if not self.seeds:
+            raise UsageError("evaluation plan needs at least one seed")
 
 
 def task_of(reward_mode: str) -> str:
@@ -184,28 +185,17 @@ def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> li
         level, cap = (cell if cell else ("NA", "NA"))
         datasets.append((path, ds, str(level), str(cap)))
 
-    jobs = [(spec, factory, path, ds, level, cap, seed)
-            for (spec, factory) in policies
-            for (path, ds, level, cap) in datasets
-            for seed in plan.seeds]
-
-    def run(job):
-        spec, factory, path, ds, level, cap, seed = job
-        t0 = time.monotonic()
-        report, _ = run_episode(ds, factory(), seed, plan.reward_mode)
-        wall = time.monotonic() - t0
-        row = {"kind": "run", "policy": spec.id, "level": level, "capacity_bin": cap,
-               "dataset": os.path.basename(path), "seed": seed,
-               **report.to_flat_dict()}
-        row["wallclock"] = wall if include_wallclock else ""
-        return row
-
-    threads = int(os.environ.get("MICOD_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = []
+    for spec, factory in policies:
+        for path, ds, level, cap in datasets:
+            for seed in plan.seeds:
+                t0 = time.monotonic()
+                report, _ = run_episode(ds, factory(), seed, plan.reward_mode)
+                wall = time.monotonic() - t0
+                rows.append({"kind": "run", "policy": spec.id, "level": level,
+                             "capacity_bin": cap, "dataset": os.path.basename(path),
+                             "seed": seed, **report.to_flat_dict(),
+                             "wallclock": wall if include_wallclock else ""})
 
     rows.extend(_aggregate_rows(rows))
     _write_rows(out_csv, rows)

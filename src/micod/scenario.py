@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Driver, DomainError, EpisodeConfig, Location, Order
+from .core import Driver, DomainError, EpisodeConfig, Location, Order, OutOfFenceError, cell_ids
 
 RATIO_BANDS: dict[str, tuple[float, float]] = {
     "L1": (1.0, 1.1),
@@ -248,8 +248,11 @@ def save(ds: Dataset, path) -> None:
 
 
 def load(path) -> Dataset:
-    drivers: list[Driver] = []
-    orders: list[Order] = []
+    """Read a dataset written by :func:`save`. Bad records, repeated driver or
+    order ids and points outside the header's fence raise
+    :class:`DatasetParseError` with the offending line."""
+    entities: dict[str, dict] = {"driver": {}, "order": {}}
+    points: list[tuple[int, Location]] = []  # (line, point) of every location read
     config = None
     scale = 1.0
     meta: dict = {}
@@ -270,15 +273,17 @@ def load(path) -> Dataset:
                     config = EpisodeConfig(**rec["config"])
                     scale = float(rec.get("scale_factor", 1.0))
                     meta = rec.get("meta", {}) or {}
-                elif kind == "driver":
-                    drivers.append(Driver(
+                    continue
+                if kind == "driver":
+                    ev = Driver(
                         id=int(rec["id"]),
                         position=Location(float(rec["x"]), float(rec["y"])),
                         appear_time=float(rec["appear_time"]),
                         offline_hazard=float(rec["offline_hazard"]),
-                    ))
+                    )
+                    points.append((line_no, ev.position))
                 elif kind == "order":
-                    orders.append(Order(
+                    ev = Order(
                         id=int(rec["id"]),
                         origin=Location(float(rec["ox"]), float(rec["oy"])),
                         destination=Location(float(rec["dx"]), float(rec["dy"])),
@@ -286,15 +291,23 @@ def load(path) -> Dataset:
                         appear_time=float(rec["appear_time"]),
                         patience=float(rec["patience"]),
                         trip_duration=float(rec["trip_duration"]),
-                    ))
+                    )
+                    points += [(line_no, ev.origin), (line_no, ev.destination)]
                 else:
                     raise DatasetParseError(line_no, f"unknown record kind {kind!r}")
             except DatasetParseError:
                 raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetParseError(line_no, f"bad record: {exc}") from exc
+            if ev.id in entities[kind]:
+                raise DatasetParseError(line_no, f"duplicate {kind} id {ev.id}")
+            entities[kind][ev.id] = ev
     if config is None:
         raise DatasetParseError(0, "empty file: missing config header")
-    drivers.sort(key=lambda d: (d.appear_time, d.id))
-    orders.sort(key=lambda o: (o.appear_time, o.id))
+    try:
+        cell_ids([p.x for _, p in points], [p.y for _, p in points], config)
+    except OutOfFenceError as exc:
+        raise DatasetParseError(points[exc.index][0], str(exc)) from exc
+    drivers = sorted(entities["driver"].values(), key=lambda d: (d.appear_time, d.id))
+    orders = sorted(entities["order"].values(), key=lambda o: (o.appear_time, o.id))
     return Dataset(config=config, drivers=drivers, orders=orders, scale_factor=scale, meta=meta)

@@ -9,6 +9,7 @@ serving / departed) always partition the appeared counts.
 
 Income and pickup distance accrue at assignment time, summed once per batch so
 episode reward streams can be compared against the ledger bit-for-bit.
+:meth:`SimState.eligible_pairs` finds the candidate pairs in one broadcast.
 """
 
 from __future__ import annotations
@@ -211,20 +212,18 @@ class SimState:
 
     def _complete_trips(self) -> None:
         due = [t for t in self.serving if t.complete_time <= self.clock]
-        if not due:
-            return
-        due.sort(key=lambda t: (t.complete_time, t.driver_id))
-        remaining = [t for t in self.serving if t.complete_time > self.clock]
-        for trip in due:
-            drv = self._driver_record(trip.driver_id)
+        self.serving = [t for t in self.serving if t.complete_time > self.clock]
+        self._release(due)
+
+    def _release(self, trips: list[_Trip]) -> None:
+        """Complete ``trips`` in (completion time, driver id) order, leaving
+        each driver idle at its destination."""
+        for trip in sorted(trips, key=lambda t: (t.complete_time, t.driver_id)):
+            drv = self._driver_by_id[trip.driver_id]
             self.idle[trip.driver_id] = _IdleDriver(drv, trip.destination, trip.complete_time)
             self.ledger.completed_orders += 1
             self.ledger.served_order_ids.add(trip.order_id)
             self.ledger.served_driver_ids.add(trip.driver_id)
-        self.serving = remaining
-
-    def _driver_record(self, driver_id: int) -> Driver:
-        return self._driver_by_id[driver_id]
 
     def _cancel_expired(self) -> None:
         for o_id in sorted(self.open_orders):
@@ -248,12 +247,7 @@ class SimState:
         for o_id in sorted(self.open_orders):
             del self.open_orders[o_id]
             self.ledger.cancelled_orders += 1
-        for trip in sorted(self.serving, key=lambda t: (t.complete_time, t.driver_id)):
-            drv = self._driver_record(trip.driver_id)
-            self.idle[trip.driver_id] = _IdleDriver(drv, trip.destination, trip.complete_time)
-            self.ledger.completed_orders += 1
-            self.ledger.served_order_ids.add(trip.order_id)
-            self.ledger.served_driver_ids.add(trip.driver_id)
+        self._release(self.serving)
         self.serving = []
         self.terminated = True
         self.ledger.finalized = True
@@ -264,18 +258,26 @@ class SimState:
     def episode_over(self) -> bool:
         return self.clock >= self.config.episode_length_s - 1e-9
 
-    def eligible_pairs(self, radius: float | None = None) -> list[tuple[int, int]]:
-        """All (driver_id, order_id) with pickup distance <= radius, sorted by
-        (order_id, driver_id)."""
-        r = self.config.match_radius_m if radius is None else radius
-        pairs = []
-        for o_id in sorted(self.open_orders):
-            origin = self.open_orders[o_id].origin
-            for d_id in sorted(self.idle):
-                if distance(self.idle[d_id].position, origin) <= r:
-                    pairs.append((d_id, o_id))
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        return pairs
+    def eligible_pairs(self) -> np.ndarray:
+        """n x 2 int64 array of (driver_id, order_id) rows within the match
+        radius, in (order id, driver id) order. One ``np.hypot`` broadcast
+        decides all but the pairs within a few ulps of the radius, where it
+        may round apart from :func:`~micod.core.distance`, which decides those."""
+        if not self.open_orders or not self.idle:  # a third of batches in small worlds
+            return np.empty((0, 2), dtype=np.int64)
+        r = self.config.match_radius_m
+        o_ids = np.array(sorted(self.open_orders), dtype=np.int64)
+        d_ids = np.array(sorted(self.idle), dtype=np.int64)
+        origins = [self.open_orders[o].origin for o in o_ids.tolist()]
+        positions = [self.idle[d].position for d in d_ids.tolist()]
+        o_xy = np.array([(p.x, p.y) for p in origins])
+        d_xy = np.array([(p.x, p.y) for p in positions])
+        dist = np.hypot(d_xy[:, 0] - o_xy[:, :1], d_xy[:, 1] - o_xy[:, 1:])
+        eligible = dist <= r
+        near = np.nonzero(np.abs(dist - r) <= 4 * np.spacing(r))
+        eligible[near] = [distance(positions[j], origins[i]) <= r for i, j in zip(*near)]
+        rows, cols = np.nonzero(eligible)
+        return np.array([d_ids[cols], o_ids[rows]]).T
 
     def order_state_counts(self) -> dict[str, int]:
         return {

@@ -56,6 +56,9 @@ class TrainConfig:
             raise ValueError("gamma and lam must be in [0, 1]")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be positive")
+        for name in ("epochs", "minibatch_size", "episodes_per_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.critic_target not in ("current", "next_state"):
             raise ValueError("critic_target must be 'current' or 'next_state'")
 

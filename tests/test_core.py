@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from micod.core import (DomainError, Driver, EpisodeConfig, GridCell, Location, Order,
-                        OutOfFenceError, cell_of, distance, in_fence)
+from micod.core import (DomainError, Driver, EpisodeConfig, Location, Order, OutOfFenceError,
+                        cell_ids, distance)
 
 CFG = EpisodeConfig()
 
@@ -38,37 +38,67 @@ def _cfg(cell=1000.0):
     return EpisodeConfig(fence_width_m=6000.0, fence_height_m=5000.0, cell_size_m=cell)
 
 
+# The cell tests keep the names of the scalar helpers that cell_ids replaced,
+# so their ids stay comparable with earlier runs of the suite.
+
+def _cell(x, y, cfg):
+    """(row, col) of one point, from its flat cell_ids index."""
+    return divmod(int(cell_ids([x], [y], cfg)[0]), cfg.grid_cols)
+
+
 def test_cell_of_origin():
-    assert cell_of(Location(0, 0), _cfg()) == GridCell(0, 0)
+    assert _cell(0, 0, _cfg()) == (0, 0)
 
 
 def test_cell_of_interior_boundary():
-    assert cell_of(Location(999, 0), _cfg()) == GridCell(0, 0)
+    assert _cell(999, 0, _cfg()) == (0, 0)
 
 
 def test_cell_of_row_from_y():
-    assert cell_of(Location(1000, 2500), _cfg()) == GridCell(2, 1)
+    assert _cell(1000, 2500, _cfg()) == (2, 1)
 
 
 def test_cell_of_out_of_fence():
     with pytest.raises(OutOfFenceError):
-        cell_of(Location(-1, 0), _cfg())
+        cell_ids([-1], [0], _cfg())
     with pytest.raises(OutOfFenceError):
-        cell_of(Location(0, 5001), _cfg())
+        cell_ids([0], [5001], _cfg())
 
 
 def test_cell_of_fence_edge_maps_to_last_cell():
     cfg = _cfg()
-    assert cell_of(Location(6000, 5000), cfg) == GridCell(cfg.grid_rows - 1, cfg.grid_cols - 1)
+    assert _cell(6000, 5000, cfg) == (cfg.grid_rows - 1, cfg.grid_cols - 1)
 
 
 @given(st.floats(0, 6400, allow_nan=False), st.floats(0, 4800, allow_nan=False))
 def test_cell_of_partitions_fence(x, y):
-    cell = cell_of(Location(x, y), CFG)
-    assert 0 <= cell.row < CFG.grid_rows
-    assert 0 <= cell.col < CFG.grid_cols
+    row, col = _cell(x, y, CFG)
+    assert 0 <= row < CFG.grid_rows
+    assert 0 <= col < CFG.grid_cols
     # deterministic under repeated calls
-    assert cell == cell_of(Location(x, y), CFG)
+    assert (row, col) == _cell(x, y, CFG)
+
+
+def test_cell_ids_is_elementwise_and_names_first_outside_point():
+    cfg = _cfg()
+    xs, ys = [0, 999, 1000, 6000], [0, 0, 2500, 5000]
+    assert cell_ids(xs, ys, cfg).tolist() == [
+        int(cell_ids([x], [y], cfg)[0]) for x, y in zip(xs, ys)]
+    assert cell_ids([], [], cfg).dtype == np.int64
+    with pytest.raises(OutOfFenceError) as err:
+        cell_ids([10, 6000.5, -1], [10, 10, 10], cfg)
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("match_radius_m", float("nan")), ("pickup_speed_mps", float("nan")),
+    ("fence_width_m", float("nan")), ("cell_size_m", float("nan")),
+    ("episode_length_s", float("inf")), ("batch_window_s", float("nan")),
+    ("fence_height_m", float("inf")),
+])
+def test_episode_config_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        EpisodeConfig(**{field: value})
 
 
 def test_episode_config_defaults_give_300_batches():
@@ -97,5 +127,6 @@ def test_driver_validation():
 
 
 def test_in_fence():
-    assert in_fence(Location(0, 0), CFG)
-    assert not in_fence(Location(-0.1, 0), CFG)
+    cell_ids([0], [0], CFG)  # inside: no error
+    with pytest.raises(OutOfFenceError):
+        cell_ids([-0.1], [0], CFG)

@@ -5,10 +5,9 @@ from micod.autodiff import to_float
 from micod.core import Driver, EpisodeConfig, Location, Order
 from micod.d2sn import ActionRecord, D2snConfig, init_params, log_prob, sample_action
 from micod.env import (F_BATCH, F_BIAS, F_PATIENCE, F_PICKUP, F_PRICE, F_WAIT,
-                       DispatchEnv, IllegalActionError, OuterState, features_of,
-                       global_info_dim, mask_after_selection)
+                       DispatchEnv, IllegalActionError, OuterState, global_info_dim,
+                       mask_after_selection)
 from micod.scenario import Dataset
-from micod.simulator import SimState
 
 
 def make_dataset(drivers, orders, **cfg_kwargs):
@@ -64,18 +63,23 @@ def test_reset_cross_product_pool():
 
 # -- features -------------------------------------------------------------------
 
+def only_row(ds):
+    """Feature row of the single pair in the initial pool."""
+    s = DispatchEnv(ds, seed=0).reset()
+    assert s.n_pairs == 1
+    return s.feature_matrix[0]
+
+
 def test_features_colocated_pair_distance_zero():
     ds = make_dataset([Driver(0, Location(50, 50), 0.0)], [order(0, Location(50, 50))])
-    sim = SimState(ds, seed=0)
-    f = features_of(0, 0, sim)
+    f = only_row(ds)
     assert f[F_PICKUP] == 0.0
     assert f[F_BIAS] == 1.0
 
 
 def test_features_fresh_order():
     ds = make_dataset([Driver(0, Location(0, 0), 0.0)], [order(0, Location(10, 0))])
-    sim = SimState(ds, seed=0)
-    f = features_of(0, 0, sim)
+    f = only_row(ds)
     assert f[F_WAIT] == 0.0
     assert f[F_PATIENCE] == 1.0
     assert f[F_BATCH] == 0.0
@@ -83,8 +87,7 @@ def test_features_fresh_order():
 
 def test_features_pair_at_exact_radius():
     ds = make_dataset([Driver(0, Location(0, 0), 0.0)], [order(0, Location(0, 3000))])
-    sim = SimState(ds, seed=0)
-    assert features_of(0, 0, sim)[F_PICKUP] == 1.0
+    assert only_row(ds)[F_PICKUP] == 1.0
 
 
 # -- sub-state transitions --------------------------------------------------------

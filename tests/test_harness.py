@@ -362,6 +362,104 @@ def test_cli_train_smoke(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "curves.csv"))
 
 
+def _edit_record(path, kind, **fields):
+    """Rewrite the first record of ``kind`` with ``fields`` changed; returns
+    its line number."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    rec = json.loads(lines[i])
+    if kind == "config":
+        rec["config"].update(fields)
+    else:
+        rec.update(fields)
+    lines[i] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return i + 1
+
+
+def _eval_one(tmp_path, path):
+    return main(["eval", "--policy", "km", "--dataset", str(path), "--seeds", "1",
+                 "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("match_radius_m", float("nan")), ("pickup_speed_mps", float("nan")),
+    ("fence_width_m", float("nan")), ("cell_size_m", float("nan")),
+    ("episode_length_s", float("inf")),
+])
+def test_cli_eval_non_finite_episode_config_is_data_error(tmp_path, capsys, field, value):
+    path = tmp_path / "d.jsonl"
+    small_dataset(str(path))
+    assert _edit_record(path, "config", **{field: value}) == 1
+    assert _eval_one(tmp_path, path) == EXIT_DATA
+    assert "line 1" in capsys.readouterr().err
+
+
+def _duplicate_first(path, kind):
+    """Append a second record with the id of the first record of ``kind``."""
+    lines = path.read_text().splitlines()
+    rec = next(json.loads(line) for line in lines if json.loads(line)["kind"] == kind)
+    path.write_text("\n".join(lines + [json.dumps(rec)]) + "\n")
+    return len(lines) + 1
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("driver", {"x": -1.0}), ("order", {"oy": 4801.0}), ("order", {"dx": 6400.5}),
+    ("driver", None), ("order", None),
+])
+def test_cli_eval_out_of_fence_or_duplicate_entity_is_data_error(tmp_path, capsys,
+                                                                 kind, fields):
+    path = tmp_path / "d.jsonl"
+    small_dataset(str(path))
+    if fields is None:
+        line_no = _duplicate_first(path, kind)
+    else:
+        line_no = _edit_record(path, kind, **fields)
+    assert _eval_one(tmp_path, path) == EXIT_DATA
+    assert f"line {line_no}:" in capsys.readouterr().err
+
+
+def test_cli_eval_config_bad_seeds_is_data_error(tmp_path, capsys):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"policies = km\ndatasets = {ds_path}\nseeds = abc\n"
+                   f"out = {tmp_path / 'o.csv'}\n")
+    assert main(["eval", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "seeds" in err
+
+
+def test_cli_generate_config_bad_scale_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"level = L1\nbin = 400\nscale = big\nout = {tmp_path / 'out'}\n")
+    assert main(["generate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "scale" in err
+
+
+@pytest.mark.parametrize("key", ["minibatch_size", "episodes_per_iter"])
+def test_cli_train_zero_size_is_data_error(tmp_path, capsys, key):
+    small_dataset(str(tmp_path / "d.jsonl"))
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {tmp_path / 'd.jsonl'}\niterations = 1\n{key} = 0\n")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out_dir)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(config) in err and key in err
+    assert not (out_dir / "curves.csv").exists()
+
+
+def test_cli_eval_zero_seeds_is_usage_error(tmp_path):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    out = tmp_path / "o.csv"
+    rc = main(["eval", "--policy", "km", "--dataset", ds_path, "--seeds", "0",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_cli_train_bad_config_key(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("datasets = none.jsonl\nwhatever = 3\n")
@@ -383,15 +481,6 @@ def test_eval_plan_validation():
                  reward_mode="XXX")
 
 
-def test_eval_thread_fanout_matches_sequential(tmp_path, monkeypatch):
-    ds_path = str(tmp_path / "d.jsonl")
-    small_dataset(ds_path)
-    # fixed_delay carries per-episode state: catches policy sharing across threads
-    plan = EvalPlan(policies=[PolicySpec(kind="km"), PolicySpec(kind="fixed_delay", delay=3)],
-                    dataset_paths=[ds_path], seeds=[0, 1, 2])
-    seq = str(tmp_path / "seq.csv")
-    par = str(tmp_path / "par.csv")
-    cmd_eval(plan, seq, include_wallclock=False)
-    monkeypatch.setenv("MICOD_THREADS", "3")
-    cmd_eval(plan, par, include_wallclock=False)
-    assert open(seq).read() == open(par).read()
+def test_eval_plan_rejects_empty_seed_list():
+    with pytest.raises(UsageError, match="seed"):
+        EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=["x"], seeds=[])

@@ -149,6 +149,53 @@ def test_load_rejects_non_finite_values_with_line(tmp_path, kind, field, value, 
     assert reported in str(err.value)
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("driver", "x", -0.5), ("driver", "y", 4800.5),
+    ("order", "ox", 6401.0), ("order", "oy", -1.0),
+    ("order", "dx", -1.0), ("order", "dy", 4801.0),
+])
+def test_load_rejects_points_outside_fence_with_line(tmp_path, kind, field, value):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    line_no = next(i for i, line in enumerate(lines, start=1)
+                   if json.loads(line)["kind"] == kind)
+    rec = json.loads(lines[line_no - 1])
+    rec[field] = value
+    lines[line_no - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == line_no
+    assert "outside fence" in str(err.value)
+
+
+def test_load_accepts_points_on_the_fence_edge(tmp_path):
+    cfg = EpisodeConfig()
+    ds = Dataset(config=cfg,
+                 drivers=[Driver(0, Location(cfg.fence_width_m, cfg.fence_height_m), 0.0)],
+                 orders=[Order(0, Location(0.0, 0.0), Location(cfg.fence_width_m, 0.0),
+                               5.0, 0.0, 30.0, 10.0)])
+    path = tmp_path / "edge.jsonl"
+    save(ds, path)
+    assert load(path) == ds
+
+
+@pytest.mark.parametrize("kind", ["driver", "order"])
+def test_load_rejects_duplicate_ids_with_line(tmp_path, kind):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    first = next(line for line in lines if json.loads(line)["kind"] == kind)
+    path.write_text("\n".join(lines + [first]) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == len(lines) + 1
+    assert f"duplicate {kind} id" in str(err.value)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -82,17 +82,19 @@ def test_trip_completion_releases_driver_at_destination():
 def test_eligible_pairs_radius_and_order():
     drivers = [Driver(0, Location(0, 0), 0.0), Driver(1, Location(5000, 0), 0.0)]
     orders = [order(0, Location(0, 300)), order(1, Location(100, 0))]
-    sim = SimState(make_dataset(drivers, orders), seed=0)
-    pairs = sim.eligible_pairs(3000.0)
-    assert pairs == [(0, 0), (0, 1)]  # driver 1 is 5000 m away: excluded
-    assert sim.eligible_pairs(6000.0) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    sim = SimState(make_dataset(drivers, orders, match_radius_m=3000.0), seed=0)
+    pairs = sim.eligible_pairs()
+    # driver 1 is 5000 m away: excluded
+    assert np.array_equal(pairs, [[0, 0], [0, 1]]) and pairs.dtype == np.int64
+    sim = SimState(make_dataset(drivers, orders, match_radius_m=6000.0), seed=0)
+    assert np.array_equal(sim.eligible_pairs(), [[0, 0], [1, 0], [0, 1], [1, 1]])
 
 
 def test_one_driver_one_order_in_radius():
     drivers = [Driver(0, Location(0, 0), 0.0)]
     orders = [order(0, Location(0, 300))]
-    sim = SimState(make_dataset(drivers, orders), seed=0)
-    assert sim.eligible_pairs(3000.0) == [(0, 0)]
+    sim = SimState(make_dataset(drivers, orders, match_radius_m=3000.0), seed=0)
+    assert np.array_equal(sim.eligible_pairs(), [[0, 0]])
 
 
 def test_held_pairs_recorded():
@@ -118,7 +120,7 @@ def test_conservation_random_walk():
     sim = SimState(ds, seed=13)
     rng = np.random.default_rng(0)
     while not sim.episode_over:
-        pairs = sim.eligible_pairs()
+        pairs = sim.eligible_pairs().tolist()
         chosen = []
         used_d, used_o = set(), set()
         for d, o in pairs:
@@ -140,7 +142,7 @@ def test_determinism_same_seed_same_ledger():
     def run(seed):
         sim = SimState(ds, seed=seed)
         while not sim.episode_over:
-            pairs = sim.eligible_pairs()
+            pairs = sim.eligible_pairs().tolist()
             take = pairs[: len(pairs) // 2]
             used_d, used_o, chosen = set(), set(), []
             for d, o in take:

@@ -241,6 +241,13 @@ def test_train_resume_continues_from_checkpoint(tmp_path):
         assert np.array_equal(resumed.params.tensors[name], t), name
 
 
+@pytest.mark.parametrize("key", ["epochs", "minibatch_size", "episodes_per_iter"])
+def test_train_config_rejects_sizes_below_one(key):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: 0})
+    TrainConfig(**{key: 1})
+
+
 def test_train_requires_datasets():
     with pytest.raises(ValueError):
         train(TrainConfig(), [], out_dir=None)
