@@ -2,15 +2,19 @@
 
 A :class:`Tensor` wraps a float64 ndarray and records the operation graph;
 ``backward()`` accumulates gradients by iterative topological traversal (the
-recurrent chains here get thousands of nodes deep, so no recursion).
+graphs here get thousands of nodes deep, so no recursion).
 
 The module-level helpers (``exp``, ``concat``, ``softmax_rows``, ...) dispatch on
 argument type: given plain ndarrays they run straight numpy, given Tensors they
 build graph nodes. Network code written against these helpers therefore runs
-identically in a fast no-gradient mode and a differentiable mode.
+identically in a fast no-gradient mode and a differentiable mode. The network's
+two loops, the GRU scan and multi-head attention, are fused ops of this kind
+(``gru_scan``, ``attention``) that record one node per call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -277,3 +281,108 @@ def log_softmax_vec(x):
     shift = float(detach(x).max())
     z = x - shift
     return z - log(asum(exp(z)))
+
+
+# -- fused network ops --------------------------------------------------------------
+#
+# Each op below runs its inner loop on plain arrays and, when any input is a
+# Tensor, records one graph node whose hand-written backward replays the
+# gradient arithmetic of the equivalent elementwise graph expression for
+# expression: the same operand order, the same per-step accumulation into
+# shared weights, and parents listed so that ``Tensor.backward`` reaches the
+# input projections in the same order. Gradients are therefore bit-identical
+# to building the graph op by op, at one node per call.
+
+
+def _any_tensor(args) -> bool:
+    return any(isinstance(a, Tensor) for a in args)
+
+
+def gru_scan(xz, xr, xh, uz, ur, uh):
+    """Gated recurrent scan over input rows from a zero hidden state; returns
+    the final ``(1, d)`` state. ``xz``/``xr``/``xh`` hold one row per step:
+    the input projections of the update gate, the reset gate and the
+    candidate; ``uz``/``ur``/``uh`` are the recurrent weights."""
+    args = (xz, xr, xh, uz, ur, uh)
+    xz_, xr_, xh_, uz_, ur_, uh_ = (detach(a) for a in args)
+    n, d = xz_.shape
+    h = np.zeros((1, d))
+    track = _any_tensor(args)
+    saved = []
+    for i in range(n):
+        z = sigmoid(xz_[i:i + 1] + h @ uz_)
+        r = sigmoid(xr_[i:i + 1] + h @ ur_)
+        rh = r * h
+        cand = np.tanh(xh_[i:i + 1] + rh @ uh_)
+        omz = 1.0 - z
+        if track:
+            saved.append((h, z, r, rh, cand, omz))
+        h = omz * h + z * cand
+    if not track:
+        return h
+    xz_t, xr_t, xh_t, uz_t, ur_t, uh_t = (_wrap(a) for a in args)
+
+    def back(g):
+        g_xz, g_xr, g_xh = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+        for i in range(n - 1, -1, -1):
+            h, z, r, rh, cand, omz = saved[i]
+            g_z = g * cand + -(g * h)
+            g_ah = (g * z) * (1.0 - cand ** 2)
+            g_rh = g_ah @ uh_.T
+            uh_t._accum(rh.T @ g_ah)
+            g_ar = (g_rh * h) * r * (1.0 - r)
+            ur_t._accum(h.T @ g_ar)
+            g_az = g_z * z * (1.0 - z)
+            uz_t._accum(h.T @ g_az)
+            g_xz[i:i + 1] += g_az
+            g_xr[i:i + 1] += g_ar
+            g_xh[i:i + 1] += g_ah
+            g = ((g * omz + g_az @ uz_.T) + g_rh * r) + g_ar @ ur_.T
+        xz_t._accum(g_xz)
+        xh_t._accum(g_xh)
+        xr_t._accum(g_xr)
+
+    # backward's depth-first walk visits the last parent first, so xr's
+    # projection is reached first, as in the per-row graph
+    return Tensor(h, (uz_t, ur_t, uh_t, xz_t, xh_t, xr_t), back)
+
+
+def attention(q, k, v, n_heads: int):
+    """Multi-head scaled dot-product attention of every row over every row;
+    returns the heads side by side, ``(n, d)``, before any output
+    projection. ``q``/``k``/``v`` are the ``(n, d)`` projections; head ``j``
+    reads columns ``j * d / n_heads`` up to the next head's."""
+    q_, k_, v_ = detach(q), detach(k), detach(v)
+    dh = q_.shape[1] // n_heads
+    scale = math.sqrt(dh)
+    track = _any_tensor((q, k, v))
+    heads, saved = [], []
+    for j in range(n_heads):
+        cols = (slice(None), slice(j * dh, (j + 1) * dh))
+        s = (q_[cols] @ k_[cols].T) / scale
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        den = e.sum(axis=-1, keepdims=True)
+        att = e / den
+        heads.append(att @ v_[cols])
+        if track:
+            saved.append((cols, e, den, att))
+    merged = heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)
+    if not track:
+        return merged
+    q_t, k_t, v_t = _wrap(q), _wrap(k), _wrap(v)
+
+    def back(g):
+        g_q, g_k, g_v = np.zeros_like(q_), np.zeros_like(k_), np.zeros_like(v_)
+        for cols, e, den, att in saved:
+            g_out = g[cols]
+            g_att = g_out @ v_[cols].T
+            g_v[cols] += att.T @ g_out
+            g_den = _unbroadcast(-g_att * e / (den ** 2), den.shape)
+            g_s = ((g_att / den + g_den) * e) / scale
+            g_q[cols] += g_s @ k_[cols]
+            g_k[cols] += (q_[cols].T @ g_s).T
+        q_t._accum(g_q)
+        k_t._accum(g_k)
+        v_t._accum(g_v)
+
+    return Tensor(merged, (q_t, k_t, v_t), back)

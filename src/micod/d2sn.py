@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import (Tensor, asum, concat, detach, exp, log, log_softmax_vec,
-                       sigmoid, softmax_rows, tanh, to_float)
+from .autodiff import (Tensor, asum, attention, concat, detach, exp, gru_scan,
+                       log_softmax_vec, tanh, to_float)
 from .env import N_PAIR_FEATURES, IllegalActionError, OuterState, mask_after_selection
 
 
@@ -148,35 +148,18 @@ def _cfg_of(params, fallback: D2snConfig | None = None) -> D2snConfig:
 
 
 def _mha(x, P: dict, prefix: str, n_heads: int):
-    d = detach(P[prefix + "wq"]).shape[0]
-    dh = d // n_heads
     q = x @ P[prefix + "wq"] + P[prefix + "bq"]
     k = x @ P[prefix + "wk"] + P[prefix + "bk"]
     v = x @ P[prefix + "wv"] + P[prefix + "bv"]
-    heads = []
-    for h in range(n_heads):
-        sl = (slice(None), slice(h * dh, (h + 1) * dh))
-        qh, kh, vh = q[sl], k[sl], v[sl]
-        att = softmax_rows((qh @ kh.T) / math.sqrt(dh))
-        heads.append(att @ vh)
-    merged = heads[0] if n_heads == 1 else concat(heads, axis=1)
-    return merged @ P[prefix + "wo"] + P[prefix + "bo"]
+    return attention(q, k, v, n_heads) @ P[prefix + "wo"] + P[prefix + "bo"]
 
 
 def _gru_scan(x_rows, P: dict, prefix: str):
     """Consume rows in order from a zero hidden state; returns (1, d)."""
-    n = detach(x_rows).shape[0]
     xz = x_rows @ P[prefix + "wz"] + P[prefix + "bz"]
     xr = x_rows @ P[prefix + "wr"] + P[prefix + "br"]
     xh = x_rows @ P[prefix + "wh"] + P[prefix + "bh"]
-    h = np.zeros((1, detach(xz).shape[1]))
-    for i in range(n):
-        row = (slice(i, i + 1), slice(None))
-        z = sigmoid(xz[row] + h @ P[prefix + "uz"])
-        r = sigmoid(xr[row] + h @ P[prefix + "ur"])
-        cand = tanh(xh[row] + (r * h) @ P[prefix + "uh"])
-        h = (1.0 - z) * h + z * cand
-    return h
+    return gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"])
 
 
 def encode(pool_features: np.ndarray, params, config: D2snConfig | None = None):

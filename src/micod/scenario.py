@@ -248,9 +248,10 @@ def save(ds: Dataset, path) -> None:
 
 
 def load(path) -> Dataset:
-    """Read a dataset written by :func:`save`. Bad records, repeated driver or
-    order ids and points outside the header's fence raise
-    :class:`DatasetParseError` with the offending line."""
+    """Read a dataset written by :func:`save`. Bad records, a header
+    ``scale_factor`` outside (0, 1], repeated driver or order ids and points
+    outside the header's fence raise :class:`DatasetParseError` with the
+    offending line."""
     entities: dict[str, dict] = {"driver": {}, "order": {}}
     points: list[tuple[int, Location]] = []  # (line, point) of every location read
     config = None
@@ -272,6 +273,9 @@ def load(path) -> Dataset:
                         raise DatasetParseError(line_no, "first record must have kind 'config'")
                     config = EpisodeConfig(**rec["config"])
                     scale = float(rec.get("scale_factor", 1.0))
+                    if not 0.0 < scale <= 1.0:
+                        raise DatasetParseError(line_no, f"scale_factor must be in (0, 1], "
+                                                         f"got {scale}")
                     meta = rec.get("meta", {}) or {}
                     continue
                 if kind == "driver":

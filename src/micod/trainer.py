@@ -172,11 +172,20 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
+# Diagnostics of an update phase that replays nothing (no transitions, or
+# ``lr == 0``), in the column order curves.csv writes them.
+IDLE_DIAGNOSTICS = {"policy_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
+                    "mean_ratio": 1.0, "clip_fraction": 0.0, "approx_kl": 0.0}
+
+
 def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainConfig,
                actor_opt: AdamState, critic_opt: AdamState,
                rng: np.random.Generator) -> dict:
     """One optimization phase over freshly collected trajectories. Mutates
-    ``params`` in place and returns diagnostics."""
+    ``params`` in place and returns diagnostics: the transition count, the
+    losses of the last minibatch, and over every replay the mean entropy,
+    the mean and clipped share of the policy ratio, and ``approx_kl``, the
+    mean of -log(ratio)."""
     flat: list[tuple[StepRecord, float, float]] = []  # (record, advantage, target)
     for traj in trajectories:
         rewards = [s.reward for s in traj.steps]
@@ -188,7 +197,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
         for rec, a, tgt in zip(traj.steps, adv, targets):
             flat.append((rec, float(a), float(tgt)))
     if not flat:
-        return {"transitions": 0}
+        return {"transitions": 0, **IDLE_DIAGNOSTICS}
 
     if cfg.normalize_adv:
         a = np.array([x[1] for x in flat])
@@ -198,6 +207,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
     actor_names = params.actor_names()
     critic_names = params.critic_names()
     ratios: list[float] = []
+    log_ratios: list[float] = []
     entropies: list[float] = []
     last = {"policy_loss": float("nan"), "critic_loss": float("nan")}
 
@@ -222,6 +232,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 else:
                     ratio = math.exp(lp - rec.logp_old)
                 ratios.append(to_float(ratio))
+                log_ratios.append(to_float(lp) - rec.logp_old)
                 policy_terms.append(clipped_objective(ratio, adv, cfg.clip_eps))
                 entropy_terms.append(ent)
                 entropies.append(to_float(ent))
@@ -263,6 +274,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
         "policy_loss": last["policy_loss"],
         "critic_loss": last["critic_loss"],
         "entropy": float(np.mean(entropies)) if entropies else 0.0,
+        "approx_kl": -float(np.mean(log_ratios)) if log_ratios else 0.0,
     }
 
 
@@ -289,7 +301,10 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
           params: D2snParams | None = None, resume: bool = False,
           progress=None, eval_hook=None) -> TrainResult:
     """Iterate collect -> advantage estimation -> update, snapshotting a
-    resumable checkpoint and a learning-curve row per iteration.
+    resumable checkpoint and a learning-curve row per iteration. A row holds
+    the iteration's outcome, the update diagnostics (``IDLE_DIAGNOSTICS``
+    when ``lr == 0``) and the seconds spent in rollout, update and
+    checkpoint.
 
     ``eval_hook(iteration, params) -> bool`` may stop training early.
     """
@@ -343,15 +358,16 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         def factory(seed: int, _ds=datasets):
             return DispatchEnv(_ds[seed % len(_ds)], reward_mode=mode, seed=seed)
 
+        t_rollout = time.monotonic()
         trajectories = collect_rollouts(factory, params, cfg.episodes_per_iter, rng,
                                         force_exhaustive=cfg.force_exhaustive)
         episode_counter += len(trajectories)
+        t_update = time.monotonic()
         if cfg.lr != 0.0:
             diag = ppo_update(trajectories, params, cfg, actor_opt, critic_opt, rng)
         else:
-            diag = {"transitions": sum(len(t) for t in trajectories),
-                    "mean_ratio": 1.0, "clip_fraction": 0.0,
-                    "policy_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0}
+            diag = {"transitions": sum(len(t) for t in trajectories), **IDLE_DIAGNOSTICS}
+        t_done = time.monotonic()
 
         mean_reward = float(np.mean([t.episode_reward for t in trajectories]))
         crs = [t.metrics.cr for t in trajectories if t.metrics is not None]
@@ -364,13 +380,15 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
             "cr": float(np.mean(crs)) if crs else 0.0,
             "metric": float(np.mean(metric_vals)) if metric_vals else 0.0,
             "wallclock": wallclock_before + time.monotonic() - t0,
+            **{k: diag[k] for k in IDLE_DIAGNOSTICS},
+            "rollout_s": t_update - t_rollout,
+            "update_s": t_done - t_update,
+            "checkpoint_s": 0.0,
         }
         curves.append(row)
-        if progress:
-            progress(row, diag)
 
         if out_dir:
-            _append_curve(os.path.join(out_dir, "curves.csv"), row)
+            t_checkpoint = time.monotonic()
             snap = D2snParams(params.config, dict(params.tensors))
             for n in params.actor_names():
                 snap.tensors["opt_m_" + n] = actor_opt.m[n]
@@ -386,6 +404,10 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
                 "critic_opt_t": critic_opt.t,
                 "rng_state": rng.bit_generator.state,
             })
+            row["checkpoint_s"] = time.monotonic() - t_checkpoint
+            _append_curve(os.path.join(out_dir, "curves.csv"), row)
+        if progress:
+            progress(row, diag)
         if eval_hook is not None and eval_hook(it + 1, params):
             break
 

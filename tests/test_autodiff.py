@@ -1,8 +1,13 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
-from micod.autodiff import (Tensor, asum, concat, detach, exp, log,
+from micod import d2sn
+from micod.autodiff import (Tensor, asum, attention, concat, detach, exp, gru_scan, log,
                             log_softmax_vec, sigmoid, softmax_rows, tanh)
+from micod.env import OuterState
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -127,3 +132,152 @@ def test_deep_chain_no_recursion_limit():
         cur = cur * 1.0001
     cur.sum().backward()
     assert t.grad is not None and np.isfinite(t.grad).all()
+
+
+# -- fused ops against the graph loops they replaced -------------------------------
+#
+# ``reference_*`` below is the network code that once built these layers out
+# of elementwise graph nodes: one set of nodes per GRU row and per attention
+# head. ``gru_scan`` and ``attention`` must reproduce its values and every
+# input gradient bit for bit, in numpy mode and in Tensor mode.
+
+
+def reference_gru_scan(xz, xr, xh, uz, ur, uh):
+    n = detach(xz).shape[0]
+    h = np.zeros((1, detach(xz).shape[1]))
+    for i in range(n):
+        row = (slice(i, i + 1), slice(None))
+        z = sigmoid(xz[row] + h @ uz)
+        r = sigmoid(xr[row] + h @ ur)
+        cand = tanh(xh[row] + (r * h) @ uh)
+        h = (1.0 - z) * h + z * cand
+    return h
+
+
+def reference_attention(q, k, v, n_heads):
+    dh = detach(q).shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        sl = (slice(None), slice(h * dh, (h + 1) * dh))
+        qh, kh, vh = q[sl], k[sl], v[sl]
+        att = softmax_rows((qh @ kh.T) / math.sqrt(dh))
+        heads.append(att @ vh)
+    return heads[0] if n_heads == 1 else concat(heads, axis=1)
+
+
+GRU_INPUTS = ("xz", "xr", "xh", "uz", "ur", "uh")
+ATT_INPUTS = ("q", "k", "v")
+
+
+def gru_arrays(n, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    out = {name: rng.normal(size=(n, d)) for name in GRU_INPUTS[:3]}
+    out.update({name: rng.normal(size=(d, d)) / math.sqrt(d) for name in GRU_INPUTS[3:]})
+    return out
+
+
+def att_arrays(n, d=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return {name: rng.normal(size=(n, d)) for name in ATT_INPUTS}
+
+
+def run_and_backprop(fn, arrays, tensor_names, weight):
+    """Call ``fn`` with the named inputs as Tensors (the rest as ndarrays),
+    backprop ``sum(out * weight)`` and return the value and the gradients."""
+    inputs = {n: Tensor(a.copy()) if n in tensor_names else a.copy() for n, a in arrays.items()}
+    out = fn(**inputs)
+    (out * Tensor(weight)).sum().backward()
+    return detach(out), {n: inputs[n].grad for n in tensor_names}
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("tensor_names", [GRU_INPUTS, ("xz", "xh", "uz"), ("ur",), ("xr", "uh")])
+def test_gru_scan_bitwise_equals_row_loop(n, tensor_names):
+    arrays = gru_arrays(n, seed=n)
+    weight = np.random.default_rng(100 + n).normal(size=(1, 4))
+    val, grads = run_and_backprop(gru_scan, arrays, tensor_names, weight)
+    ref_val, ref_grads = run_and_backprop(reference_gru_scan, arrays, tensor_names, weight)
+    assert_bitwise(val, ref_val)
+    for name in tensor_names:
+        assert_bitwise(grads[name], ref_grads[name])
+    assert_bitwise(gru_scan(**arrays), val)  # numpy mode
+    assert_bitwise(reference_gru_scan(**arrays), val)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("tensor_names", [ATT_INPUTS, ("k",), ("q", "v")])
+def test_attention_bitwise_equals_head_loop(n, n_heads, tensor_names):
+    arrays = att_arrays(n, seed=10 * n + n_heads)
+    weight = np.random.default_rng(n_heads).normal(size=(n, 8))
+    val, grads = run_and_backprop(partial(attention, n_heads=n_heads), arrays,
+                                  tensor_names, weight)
+    ref_val, ref_grads = run_and_backprop(partial(reference_attention, n_heads=n_heads),
+                                          arrays, tensor_names, weight)
+    assert_bitwise(val, ref_val)
+    for name in tensor_names:
+        assert_bitwise(grads[name], ref_grads[name])
+    assert_bitwise(attention(**arrays, n_heads=n_heads), val)  # numpy mode
+    assert_bitwise(reference_attention(**arrays, n_heads=n_heads), val)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_gru_scan_finite_difference_every_input(n):
+    arrays = gru_arrays(n, seed=20 + n)
+    weight = np.random.default_rng(n).normal(size=(1, 4))
+    _, grads = run_and_backprop(gru_scan, arrays, GRU_INPUTS, weight)
+    for name in GRU_INPUTS:
+        def f(arr, name=name):
+            return float((gru_scan(**{**arrays, name: arr}) * weight).sum())
+        num = numeric_grad(f, arrays[name].copy())
+        assert np.allclose(grads[name], num, atol=1e-6), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_finite_difference_every_input(n, n_heads):
+    arrays = att_arrays(n, seed=30 + n)
+    weight = np.random.default_rng(n).normal(size=(n, 8))
+    _, grads = run_and_backprop(partial(attention, n_heads=n_heads), arrays, ATT_INPUTS,
+                                weight)
+    for name in ATT_INPUTS:
+        def f(arr, name=name):
+            return float((attention(**{**arrays, name: arr}, n_heads=n_heads) * weight).sum())
+        num = numeric_grad(f, arrays[name].copy())
+        assert np.allclose(grads[name], num, atol=1e-6), name
+
+
+def _network_grads(monkeypatch, fused: bool):
+    """Gradients of a teacher-forced replay plus critic over all parameters,
+    through d2sn's fused ops or through the reference loops."""
+    if not fused:
+        monkeypatch.setattr(d2sn, "gru_scan", reference_gru_scan)
+        monkeypatch.setattr(d2sn, "attention", reference_attention)
+    cfg = d2sn.D2snConfig(d_model=8, n_heads=2, d_feat=12, g_dim=5)
+    params = d2sn.init_params(cfg, seed=3, zero_heads=False)
+    rng = np.random.default_rng(4)
+    ids = np.array([(1, 1), (1, 2), (2, 1), (3, 3), (4, 2), (4, 4)], dtype=np.int64)
+    state = OuterState(global_info=rng.normal(size=5), order_ids=ids[:, 0],
+                       driver_ids=ids[:, 1], feature_matrix=rng.normal(size=(6, 12)))
+    action = d2sn.ActionRecord(steps=[(0, 0), (0, 3), (0, 5), (1, None)], selected=[0, 3, 5],
+                               held=[], exhaustive=False, logp=0.0)
+    tensors = d2sn.as_tensors(params)
+    lp, _, ent = d2sn.log_prob(state, action, tensors, config=cfg, want_entropy=True)
+    v = d2sn.critic_value(state, tensors, config=cfg)
+    (lp * 0.7 + ent * 0.3 + v * v).backward()
+    return {n: t.grad for n, t in tensors.items()}
+
+
+def test_network_gradients_bitwise_equal_through_fused_ops(monkeypatch):
+    fused = _network_grads(monkeypatch, fused=True)
+    ref = _network_grads(monkeypatch, fused=False)
+    assert fused.keys() == ref.keys()
+    unused = {n for n, g in fused.items() if g is None}
+    assert unused == {n for n, g in ref.items() if g is None}
+    assert unused == {"act_null", "v_null"}  # the empty-pool rows
+    for name in fused.keys() - unused:
+        assert_bitwise(fused[name], ref[name])

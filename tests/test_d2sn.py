@@ -358,3 +358,28 @@ def test_tensor_mode_matches_fast_mode(params):
     assert to_float(slow_total) == to_float(fast_total)
     assert to_float(critic_value(s, tensors, config=params.config)) == \
         to_float(critic_value(s, params))
+
+
+# -- graph size ----------------------------------------------------------------------
+
+
+def graph_size(out) -> int:
+    """Number of nodes reachable from ``out``, leaves included."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_graph_size_does_not_grow_with_pool_rows(params):
+    # one node per GRU scan and per attention call, whatever the row count
+    tensors = as_tensors(params)
+    small = make_state([(i, i) for i in range(3)], seed=61)
+    large = make_state([(i, i) for i in range(40)], seed=62)
+    agg = [graph_size(aggregate(s.feature_matrix, tensors, CFG)) for s in (small, large)]
+    crit = [graph_size(critic_value(s, tensors, CFG)) for s in (small, large)]
+    assert agg[0] == agg[1]
+    assert crit[0] == crit[1]

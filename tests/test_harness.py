@@ -395,6 +395,20 @@ def test_cli_eval_non_finite_episode_config_is_data_error(tmp_path, capsys, fiel
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [float("nan"), 5.0])
+def test_cli_eval_bad_scale_factor_is_data_error(tmp_path, capsys, scale):
+    path = tmp_path / "d.jsonl"
+    small_dataset(str(path))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["scale_factor"] = scale
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    assert _eval_one(tmp_path, path) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1" in err and "scale_factor" in err
+
+
 def _duplicate_first(path, kind):
     """Append a second record with the id of the first record of ``kind``."""
     lines = path.read_text().splitlines()

@@ -149,6 +149,22 @@ def test_load_rejects_non_finite_values_with_line(tmp_path, kind, field, value, 
     assert reported in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 5.0, 0.0, -0.1])
+def test_load_rejects_bad_scale_factor_on_line_one(tmp_path, scale):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["scale_factor"] = scale
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == 1
+    assert "scale_factor" in str(err.value)
+
+
 @pytest.mark.parametrize("kind,field,value", [
     ("driver", "x", -0.5), ("driver", "y", 4800.5),
     ("order", "ox", 6401.0), ("order", "oy", -1.0),

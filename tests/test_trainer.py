@@ -241,6 +241,51 @@ def test_train_resume_continues_from_checkpoint(tmp_path):
         assert np.array_equal(resumed.params.tensors[name], t), name
 
 
+CURVE_COLUMNS = ["iteration", "episodes", "mean_reward", "cr", "metric", "wallclock",
+                 "policy_loss", "critic_loss", "entropy", "mean_ratio", "clip_fraction",
+                 "approx_kl", "rollout_s", "update_s", "checkpoint_s"]
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.0])
+def test_curves_csv_diagnostics_stable_across_resume(tmp_path, lr):
+    import csv
+
+    ds = tiny_dataset()
+    train(TrainConfig(lr=lr, iterations=2, episodes_per_iter=1, epochs=1, seed=7), [ds],
+          out_dir=str(tmp_path))
+    resumed = train(TrainConfig(lr=lr, iterations=3, episodes_per_iter=1, epochs=1, seed=7),
+                    [ds], out_dir=str(tmp_path), resume=True)
+    with open(tmp_path / "curves.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == CURVE_COLUMNS  # written once, by the first run
+    assert [int(r[0]) for r in table[1:]] == [1, 2, 3]
+    for r in table[1:]:
+        assert len(r) == len(CURVE_COLUMNS)
+        assert all(math.isfinite(float(x)) for x in r), r
+    assert list(resumed.curves[0]) == CURVE_COLUMNS
+    for r in table[1:]:
+        row = dict(zip(CURVE_COLUMNS, map(float, r)))
+        assert min(row["rollout_s"], row["update_s"], row["checkpoint_s"]) >= 0.0
+        assert row["checkpoint_s"] > 0.0
+        assert 0.0 <= row["clip_fraction"] <= 1.0 and row["mean_ratio"] > 0.0
+        if lr == 0.0:
+            assert row["approx_kl"] == 0.0 and row["mean_ratio"] == 1.0
+
+
+def test_ppo_update_approx_kl_is_mean_negative_log_ratio():
+    ds = tiny_dataset()
+    params = init_params(net_config(ds), seed=0)
+    trajs = collect_rollouts(lambda s: DispatchEnv(ds, seed=s), params, 2,
+                             np.random.default_rng(3))
+    cfg = TrainConfig(lr=1e-2, epochs=3, minibatch_size=2, entropy_coef=0.0)
+    diag = ppo_update(trajs, params, cfg, make_adam(params, params.actor_names()),
+                      make_adam(params, params.critic_names()), np.random.default_rng(0))
+    assert np.isfinite(diag["approx_kl"])
+    assert diag["approx_kl"] != 0.0  # later epochs replay under updated parameters
+    # -log r >= 1 - r, so the mean of -log r is at least 1 - mean(r)
+    assert diag["approx_kl"] >= 1.0 - diag["mean_ratio"] - 1e-12
+
+
 @pytest.mark.parametrize("key", ["epochs", "minibatch_size", "episodes_per_iter"])
 def test_train_config_rejects_sizes_below_one(key):
     with pytest.raises(ValueError, match=key):
