@@ -13,7 +13,7 @@ import sys
 
 from .d2sn import CheckpointError
 from .harness import DataError, EvalPlan, UsageError, cmd_eval, cmd_generate, cmd_report, parse_policy_id
-from .scenario import DatasetParseError
+from .scenario import CAPACITY_BINS, RATIO_BANDS, DatasetParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,6 +50,15 @@ def _setting(flag, cfgd: dict[str, str], path: str, key: str, convert, default=N
         raise DataError(f"{path}: bad value for {key}: {exc}") from exc
 
 
+def _one_of(choices, convert=str):
+    """Converter for ``_setting`` that also rejects values outside ``choices``."""
+    def parse(text: str):
+        if convert(text) not in choices:
+            raise ValueError(f"{text!r} is not one of {list(choices)}")
+        return convert(text)
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="micod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="synthesize benchmark datasets")
     g.add_argument("--config", default=None,
                    help="key = value file supplying defaults for the flags below")
-    g.add_argument("--level", choices=["L1", "L2", "L3", "L4"])
-    g.add_argument("--bin", type=int, choices=[400, 550, 800])
+    g.add_argument("--level", choices=sorted(RATIO_BANDS))
+    g.add_argument("--bin", type=int, choices=CAPACITY_BINS)
     g.add_argument("--count", type=int, default=None)
     g.add_argument("--scale", type=float, default=None)
     g.add_argument("--seed", type=int, default=None)
@@ -154,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "generate":
             cfgd = parse_config_file(args.config) if args.config else {}
-            level = args.level or cfgd.get("level")
-            cap = _setting(args.bin, cfgd, args.config, "bin", int, 0)
+            level = _setting(args.level, cfgd, args.config, "level", _one_of(RATIO_BANDS))
+            cap = _setting(args.bin, cfgd, args.config, "bin", _one_of(CAPACITY_BINS, int), 0)
             count = _setting(args.count, cfgd, args.config, "count", int, 1)
             scale = _setting(args.scale, cfgd, args.config, "scale", float, 1.0)
             seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)

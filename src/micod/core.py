@@ -2,9 +2,11 @@
 grid cells, supply/demand entities and episode configuration.
 
 Entities and configuration are immutable value objects; grid cells are flat
-indices that :func:`cell_ids` computes for whole arrays of points. Mutable
-lifecycle state lives in the simulator; the per-batch candidate pool is a set
-of id arrays plus a feature matrix on :class:`micod.env.OuterState`.
+indices that :func:`cell_ids` computes for whole arrays of points. The
+simulator copies the entities once per episode into id-sorted entity tables
+(one numpy structured array per kind, with grid cells as columns) whose
+``state`` column carries the mutable lifecycle; the per-batch candidate pool
+is a set of id arrays plus a feature matrix on :class:`micod.env.OuterState`.
 """
 
 from __future__ import annotations

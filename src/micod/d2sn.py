@@ -13,8 +13,9 @@ The critic mirrors the decoder trunk with its own parameters but sees only the
 outer state (pool plus global context), never sub-states or actions.
 
 All forward code is written against :mod:`micod.autodiff` dual-mode helpers:
-pass raw ndarray parameters for fast sampling, or Tensor parameters to get
-exact reverse-mode gradients through the same arithmetic.
+pass :class:`D2snParams` holding ndarrays for fast sampling, or the Tensor
+copy :func:`as_tensors` makes to get exact reverse-mode gradients through the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ class D2snConfig:
 
 @dataclass
 class D2snParams:
-    """Named parameter tensors plus the config that shaped them."""
+    """Named parameter arrays (or autodiff Tensors, from :func:`as_tensors`)
+    plus the config that shaped them."""
 
     config: D2snConfig
-    tensors: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray | Tensor]
 
     @property
     def param_count(self) -> int:
@@ -128,20 +130,9 @@ def init_params(cfg: D2snConfig, seed: int = 0, zero_heads: bool = True) -> D2sn
     return D2snParams(cfg, t)
 
 
-def as_tensors(params: D2snParams) -> dict[str, "Tensor"]:
-    return {k: Tensor(v) for k, v in params.tensors.items()}
-
-
-def _P(params) -> dict:
-    return params.tensors if isinstance(params, D2snParams) else params
-
-
-def _cfg_of(params, fallback: D2snConfig | None = None) -> D2snConfig:
-    if isinstance(params, D2snParams):
-        return params.config
-    if fallback is None:
-        raise ValueError("raw tensor dicts need an explicit config")
-    return fallback
+def as_tensors(params: D2snParams) -> D2snParams:
+    """The same parameters as graph leaves, one :class:`Tensor` per array."""
+    return D2snParams(params.config, {k: Tensor(v) for k, v in params.tensors.items()})
 
 
 # -- forward pieces -------------------------------------------------------------
@@ -162,33 +153,31 @@ def _gru_scan(x_rows, P: dict, prefix: str):
     return gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"])
 
 
-def encode(pool_features: np.ndarray, params, config: D2snConfig | None = None):
+def encode(pool_features: np.ndarray, params: D2snParams):
     """Pool rows -> latent rows, one per input row (permutation-equivariant;
     an empty pool encodes the learned null row instead)."""
-    cfg = _cfg_of(params, config)
-    P = _P(params)
+    P = params.tensors
     if not np.all(np.isfinite(pool_features)):
         raise ValueError("non-finite pool features")
     if pool_features.shape[0] == 0:
         x = P["act_null"]
     else:
         x = pool_features @ P["emb_w"] + P["emb_b"]
-    x = x + _mha(x, P, "enc_", cfg.n_heads)
+    x = x + _mha(x, P, "enc_", params.config.n_heads)
     ffn = tanh(x @ P["enc_w1"] + P["enc_b1"]) @ P["enc_w2"] + P["enc_b2"]
     return x + ffn
 
 
-def aggregate(substate_features: np.ndarray, params, config: D2snConfig | None = None):
+def aggregate(substate_features: np.ndarray, params: D2snParams):
     """Variable-size sub-state rows -> one fixed-size context vector. Rows are
     attended as a set, then consumed in order by the recurrent cell so the
     selection chronology is preserved."""
-    cfg = _cfg_of(params, config)
-    P = _P(params)
+    P = params.tensors
     if substate_features.shape[0] == 0:
         x = P["act_null"]
     else:
         x = substate_features @ P["emb_w"] + P["emb_b"]
-    x = _mha(x, P, "dec_", cfg.n_heads)
+    x = _mha(x, P, "dec_", params.config.n_heads)
     return _gru_scan(x, P, "gru_")
 
 
@@ -199,9 +188,9 @@ def _hold_log_probs(G, global_info: np.ndarray, P: dict):
     return log_softmax_vec(logits[0, :])
 
 
-def hold_head(G, global_info: np.ndarray, params) -> np.ndarray:
+def hold_head(G, global_info: np.ndarray, params: D2snParams) -> np.ndarray:
     """Binary stop distribution as (p_continue, p_hold)."""
-    lp = _hold_log_probs(G, global_info, _P(params))
+    lp = _hold_log_probs(G, global_info, params.tensors)
     return np.exp(detach(lp))
 
 
@@ -211,12 +200,12 @@ def _decision_logits(R, G, global_info: np.ndarray, P: dict, d_model: int):
     return (k @ q.T)[:, 0] / math.sqrt(d_model)
 
 
-def decision_head(R, G, global_info: np.ndarray, params,
+def decision_head(R, G, global_info: np.ndarray, params: D2snParams,
                   mask: np.ndarray | None = None) -> np.ndarray:
     """Probability over pool rows: scaled dot-product between the fixed-size
     query and one key per row; masked rows get exactly zero."""
-    cfg_d = detach(_P(params)["ck_w"]).shape[0]
-    logits = detach(_decision_logits(R, G, global_info, _P(params), cfg_d))
+    logits = detach(_decision_logits(R, G, global_info, params.tensors,
+                                     params.config.d_model))
     n = logits.shape[0]
     if mask is None:
         mask = np.ones(n, dtype=bool)
@@ -254,21 +243,21 @@ class _Walk:
     teacher-forced replay share this engine, so both paths run the exact same
     arithmetic and enforce the same sub-action rules."""
 
-    def __init__(self, state: OuterState, params, config: D2snConfig | None = None,
+    def __init__(self, state: OuterState, params: D2snParams,
                  rng: np.random.Generator | None = None,
                  action: ActionRecord | None = None,
                  force_exhaustive: bool = False,
                  want_entropy: bool = False):
         self.state = state
-        self.cfg = _cfg_of(params, config)
-        self.P = _P(params)
+        self.params = params
+        self.P = params.tensors
         self.rng = rng
         self.action = action
         self.force_exhaustive = force_exhaustive if action is None else action.exhaustive
         self.want_entropy = want_entropy
-        if state.global_info.shape[0] != self.cfg.g_dim:
+        if state.global_info.shape[0] != params.config.g_dim:
             raise ValueError(f"global info dim {state.global_info.shape[0]} != "
-                             f"configured {self.cfg.g_dim}")
+                             f"configured {params.config.g_dim}")
 
     def run(self):
         feats = self.state.feature_matrix
@@ -283,9 +272,9 @@ class _Walk:
         while True:
             remaining = np.flatnonzero(mask)
             enc_in = feats[remaining] if len(remaining) else feats[:0]
-            R = encode(enc_in, self.P, self.cfg)
+            R = encode(enc_in, self.params)
             sub_rows = np.concatenate([feats, feats[selected]], axis=0) if n0 else feats[:0]
-            G = aggregate(sub_rows, self.P, self.cfg)
+            G = aggregate(sub_rows, self.params)
 
             lp_hold = _hold_log_probs(G, self.state.global_info, self.P)
             h, lp_h = self._pick_h(lp_hold, k)
@@ -306,7 +295,8 @@ class _Walk:
                 step_logps.append(lp_h)
                 break
 
-            logits = _decision_logits(R, G, self.state.global_info, self.P, self.cfg.d_model)
+            logits = _decision_logits(R, G, self.state.global_info, self.P,
+                                      self.params.config.d_model)
             lp_vec = log_softmax_vec(logits)
             c_local, lp_c = self._pick_c(lp_vec, remaining, k)
             if self.want_entropy:
@@ -354,27 +344,26 @@ class _Walk:
         return pos, lp_vec[pos]
 
 
-def sample_action(state: OuterState, params, rng: np.random.Generator,
-                  force_exhaustive: bool = False,
-                  config: D2snConfig | None = None) -> ActionRecord:
+def sample_action(state: OuterState, params: D2snParams, rng: np.random.Generator,
+                  force_exhaustive: bool = False) -> ActionRecord:
     """Roll the auto-regressive sub-step loop forward, sampling each head.
     ``force_exhaustive`` pins every hold decision to continue (the
     hold-disabled ablation); selection stops only when the pool drains."""
     steps, selected, held, step_logps, total, _ = _Walk(
-        state, params, config, rng=rng, force_exhaustive=force_exhaustive).run()
+        state, params, rng=rng, force_exhaustive=force_exhaustive).run()
     return ActionRecord(
         steps=steps, selected=selected, held=held, exhaustive=force_exhaustive,
         logp=to_float(total), step_logps=[to_float(x) for x in step_logps],
     )
 
 
-def log_prob(state: OuterState, action: ActionRecord, params,
-             config: D2snConfig | None = None, want_entropy: bool = False):
-    """Teacher-forced replay of a recorded action. With Tensor parameters the
-    returned values are differentiable. Returns (total, per-step list) or
-    (total, per-step, entropy) when ``want_entropy``."""
+def log_prob(state: OuterState, action: ActionRecord, params: D2snParams,
+             want_entropy: bool = False):
+    """Teacher-forced replay of a recorded action. With Tensor parameters
+    (:func:`as_tensors`) the returned values are differentiable. Returns
+    (total, per-step list) or (total, per-step, entropy) when ``want_entropy``."""
     steps, _, _, step_logps, total, entropy = _Walk(
-        state, params, config, action=action, want_entropy=want_entropy).run()
+        state, params, action=action, want_entropy=want_entropy).run()
     if len(steps) != len(action.steps):
         raise IllegalActionError("replay terminated at a different sub-step count")
     if want_entropy:
@@ -382,16 +371,15 @@ def log_prob(state: OuterState, action: ActionRecord, params,
     return total, step_logps
 
 
-def critic_value(state: OuterState, params, config: D2snConfig | None = None):
+def critic_value(state: OuterState, params: D2snParams):
     """State value from the critic trunk; sees only (pool, global info)."""
-    cfg = _cfg_of(params, config)
-    P = _P(params)
+    P = params.tensors
     feats = state.feature_matrix
     if feats.shape[0] == 0:
         x = P["v_null"]
     else:
         x = feats @ P["v_emb_w"] + P["v_emb_b"]
-    x = _mha(x, P, "v_", cfg.n_heads)
+    x = _mha(x, P, "v_", params.config.n_heads)
     G = _gru_scan(x, P, "v_gru_")
     inp = concat([G, state.global_info.reshape(1, -1)], axis=1)
     hid = tanh(inp @ P["v_w1"] + P["v_b1"])

@@ -4,8 +4,9 @@ The outer layer observes, once per batch, a global context vector plus the
 variable-size pool of eligible order-driver pairs, and is rewarded when the
 batch's assignments execute. The pool is one row per pair: ``order_ids`` and
 ``driver_ids`` hold the ids and ``feature_matrix`` the context features, all
-in (order id, driver id) order, built in one array pass per batch: each open
-order and idle driver is read once, and every feature column is an array
+in (order id, driver id) order, built in one array pass per batch over the
+simulator's entity tables: the open-order and idle-driver rows (with their
+grid cells) are read in place, and every feature column is an array
 expression over the pool rows. The inner layer walks sub-states, tracked as a
 boolean mask over pool rows: each sub-action either ends the batch (hold,
 deferring every remaining row) or selects one row, and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpisodeConfig, cell_ids
+from .core import EpisodeConfig
 from .scenario import Dataset
 from .simulator import SimState
 
@@ -80,12 +81,6 @@ def mask_after_selection(state: OuterState, mask: np.ndarray, c: int) -> np.ndar
     return mask & (state.order_ids != o) & (state.driver_ids != d)
 
 
-def _id_pairs(state: OuterState, rows: list[int]) -> list[tuple[int, int]]:
-    """(driver_id, order_id) of each pool row, as Python ints."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return list(zip(state.driver_ids[rows].tolist(), state.order_ids[rows].tolist()))
-
-
 def global_info_dim(cfg: EpisodeConfig) -> int:
     return 4 + 2 * cfg.n_cells
 
@@ -107,46 +102,37 @@ class DispatchEnv:
 
     def reset(self) -> OuterState:
         self.sim = SimState(self.dataset, seed=self.seed)
-        state = self._build_outer()
-        self._last_state = state
-        return state
+        self._last_state = self._build_outer()
+        return self._last_state
 
     def _build_outer(self) -> OuterState:
-        """One array pass: gather each open order and idle driver once, then
-        compute every feature column over all pool rows at once."""
+        """One array pass over the simulator's open-order and idle-driver
+        rows: every feature column is computed over all pool rows at once."""
         sim = self._require_sim()
         cfg = self.config
         pairs = sim.eligible_pairs()
         driver_ids, order_ids = pairs.T
 
-        o_ids = np.array(sorted(sim.open_orders), dtype=np.int64)
-        ox, oy, appear, patience, price, trip = np.array(
-            [(o.origin.x, o.origin.y, o.appear_time, o.patience, o.price, o.trip_duration)
-             for _, o in sorted(sim.open_orders.items())]).reshape(-1, 6).T
-        d_ids = np.array(sorted(sim.idle), dtype=np.int64)
-        dx, dy, idle_since = np.array(
-            [(i.position.x, i.position.y, i.idle_since)
-             for _, i in sorted(sim.idle.items())]).reshape(-1, 3).T
-        waiting_s = sim.clock - appear
-
-        o_cell = cell_ids(ox, oy, cfg)
-        d_cell = cell_ids(dx, dy, cfg)
+        o, d = sim.open_orders, sim.idle
+        waiting_s = sim.clock - o["appear"]
+        o_cell, d_cell = o["cell"], d["cell"]
         demand = np.bincount(o_cell, minlength=cfg.n_cells)
         supply = np.bincount(d_cell, minlength=cfg.n_cells)
 
         # pool row -> entity row
-        oi = np.searchsorted(o_ids, order_ids)
-        di = np.searchsorted(d_ids, driver_ids)
+        oi = np.searchsorted(o["id"], order_ids)
+        di = np.searchsorted(d["id"], driver_ids)
         origin_demand = demand[o_cell[oi]]
         origin_supply = supply[o_cell[oi]]
 
         feats = np.empty((len(pairs), N_PAIR_FEATURES), dtype=np.float64)
-        feats[:, F_PICKUP] = np.hypot(dx[di] - ox[oi], dy[di] - oy[oi]) / cfg.match_radius_m
-        feats[:, F_PRICE] = price[oi] / PRICE_SCALE
+        feats[:, F_PICKUP] = np.hypot(d["x"][di] - o["ox"][oi],
+                                      d["y"][di] - o["oy"][oi]) / cfg.match_radius_m
+        feats[:, F_PRICE] = o["price"][oi] / PRICE_SCALE
         feats[:, F_WAIT] = waiting_s[oi] / TIME_SCALE
-        feats[:, F_PATIENCE] = np.maximum(0.0, 1.0 - waiting_s / patience)[oi]
-        feats[:, F_IDLE] = (sim.clock - idle_since[di]) / TIME_SCALE
-        feats[:, F_TRIP] = trip[oi] / TRIP_SCALE
+        feats[:, F_PATIENCE] = np.maximum(0.0, 1.0 - waiting_s / o["patience"])[oi]
+        feats[:, F_IDLE] = (sim.clock - d["since"][di]) / TIME_SCALE
+        feats[:, F_TRIP] = o["trip"][oi] / TRIP_SCALE
         feats[:, F_ORIGIN_DEMAND] = origin_demand / CELL_SCALE
         feats[:, F_ORIGIN_SUPPLY] = origin_supply / CELL_SCALE
         feats[:, F_DRIVER_SUPPLY] = supply[d_cell[di]] / CELL_SCALE
@@ -155,7 +141,7 @@ class DispatchEnv:
         feats[:, F_BATCH] = sim.clock / cfg.episode_length_s
         feats[:, F_BIAS] = 1.0
 
-        n_demand, n_supply = len(o_ids), len(d_ids)
+        n_demand, n_supply = len(o), len(d)
         g = np.empty(global_info_dim(cfg), dtype=np.float64)
         g[0] = n_demand / COUNT_SCALE
         g[1] = n_supply / COUNT_SCALE
@@ -165,14 +151,15 @@ class DispatchEnv:
         return OuterState(global_info=g, order_ids=order_ids, driver_ids=driver_ids,
                           feature_matrix=feats)
 
-    def finalize_batch(self, selected: list[int], held: list[int],
-                       state: OuterState | None = None) -> tuple[float, OuterState, bool]:
-        """Execute selected pool rows as assignments and record held rows,
-        then advance one batch window."""
+    def finalize_batch(self, selected: list[int],
+                       held: list[int]) -> tuple[float, OuterState, bool]:
+        """Execute selected rows of the last returned outer state as
+        assignments and record its held rows, then advance one batch window."""
         sim = self._require_sim()
-        if state is None:
-            state = self._last_state
-        sim.step_batch(_id_pairs(state, selected), _id_pairs(state, held))
+        state = self._last_state
+        pairs = np.stack([state.driver_ids, state.order_ids], axis=1)  # one per pool row
+        sim.step_batch(pairs[np.asarray(selected, dtype=np.int64)],
+                       pairs[np.asarray(held, dtype=np.int64)])
 
         if self.reward_mode == "TDI":
             reward = sim.ledger.batch_income_sums[-1]
@@ -182,9 +169,8 @@ class DispatchEnv:
         done = sim.episode_over
         if done:
             sim.finish()
-        nxt = self._build_outer()
-        self._last_state = nxt
-        return reward, nxt, done
+        self._last_state = self._build_outer()
+        return reward, self._last_state, done
 
     def metrics(self):
         from .simulator import episode_metrics
@@ -194,6 +180,3 @@ class DispatchEnv:
         if self.sim is None:
             raise RuntimeError("call reset() before stepping the environment")
         return self.sim
-
-    # finalize_batch defaults to the most recent outer state it produced
-    _last_state: OuterState | None = None

@@ -88,6 +88,8 @@ class EvalPlan:
             raise UsageError("evaluation plan needs at least one dataset")
         if not self.seeds:
             raise UsageError("evaluation plan needs at least one seed")
+        if min(self.seeds) < 0:
+            raise UsageError(f"seeds must be non-negative, got {min(self.seeds)}")
 
 
 def task_of(reward_mode: str) -> str:
@@ -331,6 +333,8 @@ def cmd_generate(level: str, capacity_bin: int, count: int, scale: float,
     """Write ``count`` datasets plus a manifest; returns the file paths."""
     if count < 1:
         raise UsageError("count must be >= 1")
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     manifest_lines = []

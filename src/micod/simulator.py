@@ -3,22 +3,32 @@
 Each batch executes the accepted assignments, records held candidates, then
 advances the clock by one window: trips complete and release their drivers at
 the order destination, the next window's arrivals spawn, over-patience orders
-cancel, and idle drivers may drop offline. Entity bookkeeping is exact: order
-states (open / serving / completed / cancelled) and driver states (idle /
-serving / departed) always partition the appeared counts.
+cancel, and idle drivers may drop offline.
+
+Drivers and orders are entity tables: one id-sorted numpy structured array
+per kind, one row per entity of the episode, built once. A ``state`` column
+walks each row from pending to available (to serving, for drivers) to gone;
+every lifecycle step is a masked column write, and no row is ever inserted,
+deleted or re-sorted. Idle drivers and open orders are the available rows,
+read in place by :meth:`SimState.eligible_pairs` and the environment's pool
+build. Order states (open / serving / completed / cancelled) and driver states
+(idle / serving / departed) always partition the appeared counts.
 
 Income and pickup distance accrue at assignment time, summed once per batch so
-episode reward streams can be compared against the ledger bit-for-bit.
-:meth:`SimState.eligible_pairs` finds the candidate pairs in one broadcast.
+episode reward streams can be compared against the ledger bit-for-bit. Held
+pairs stream into a running count, pickup sum and price sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .core import Driver, EpisodeConfig, Location, Order, distance
+from .core import DomainError, EpisodeConfig, cell_ids
 from .scenario import Dataset
 
 
@@ -30,27 +40,21 @@ class SimulationStateError(RuntimeError):
     """Operation invoked at the wrong lifecycle point."""
 
 
-@dataclass
-class HeldPair:
-    driver_id: int
-    order_id: int
-    pickup_m: float
-    price: float
+# lifecycle states of the ``state`` column
+PENDING, AVAILABLE, SERVING, GONE = range(4)
 
-
-@dataclass
-class _Trip:
-    driver_id: int
-    order_id: int
-    complete_time: float
-    destination: Location
-
-
-@dataclass
-class _IdleDriver:
-    driver: Driver
-    position: Location
-    idle_since: float
+# ``x``/``y`` is the position (the destination while serving) and ``cell`` its
+# grid cell, ``since`` the time the driver last became idle, ``done`` the
+# completion time of its trip and ``order`` the id of the order it serves.
+DRIVER_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64),
+                         ("cell", np.int64), ("appear", np.float64), ("hazard", np.float64),
+                         ("since", np.float64), ("done", np.float64),
+                         ("order", np.int64), ("state", np.int8)])
+# ``cell`` is the origin's grid cell, ``dcell`` the destination's.
+ORDER_DTYPE = np.dtype([("id", np.int64), ("ox", np.float64), ("oy", np.float64),
+                        ("cell", np.int64), ("dx", np.float64), ("dy", np.float64),
+                        ("dcell", np.int64), ("price", np.float64), ("appear", np.float64),
+                        ("patience", np.float64), ("trip", np.float64), ("state", np.int8)])
 
 
 @dataclass
@@ -65,13 +69,12 @@ class MetricsLedger:
     served_driver_ids: set[int] = field(default_factory=set)
     batch_pickup_sums: list[float] = field(default_factory=list)
     batch_income_sums: list[float] = field(default_factory=list)
-    held_batches: list[list[HeldPair]] = field(default_factory=list)
+    held_pairs: int = 0
+    held_pickup_sum: float = 0.0  # summed pair by pair, in hold order
+    held_price_sum: float = 0.0
     held_distinct_order_ids: set[int] = field(default_factory=set)
     held_distinct_driver_ids: set[int] = field(default_factory=set)
     finalized: bool = False
-
-    def all_held(self) -> list[HeldPair]:
-        return [hp for batch in self.held_batches for hp in batch]
 
 
 @dataclass
@@ -79,10 +82,6 @@ class MetricsReport:
     """Episode-level metric suite; ratios are None when their denominator
     is empty (never reported as zero)."""
 
-    appeared_orders: int
-    completed_orders: int
-    cancelled_orders: int
-    appeared_drivers: int
     cr: float
     apd: float | None
     tdi: float
@@ -92,23 +91,29 @@ class MetricsReport:
     hold_d_ratio: float
     order_sr: float
     driver_sr: float
+    appeared_orders: int
+    completed_orders: int
+    cancelled_orders: int
+    appeared_drivers: int
 
     def to_flat_dict(self) -> dict[str, float | int | None]:
-        return {
-            "cr": self.cr,
-            "apd": self.apd,
-            "tdi": self.tdi,
-            "hold_apd_ratio": self.hold_apd_ratio,
-            "hold_o_ratio": self.hold_o_ratio,
-            "hold_tdi_ratio": self.hold_tdi_ratio,
-            "hold_d_ratio": self.hold_d_ratio,
-            "order_sr": self.order_sr,
-            "driver_sr": self.driver_sr,
-            "appeared_orders": self.appeared_orders,
-            "completed_orders": self.completed_orders,
-            "cancelled_orders": self.cancelled_orders,
-            "appeared_drivers": self.appeared_drivers,
-        }
+        return asdict(self)
+
+
+def _table(dtype: np.dtype, rows: list[tuple], kind: str) -> np.ndarray:
+    table = np.array(rows, dtype=dtype)
+    table.sort(order="id", kind="stable")
+    if np.any(table["id"][1:] == table["id"][:-1]):
+        raise DomainError(f"duplicate {kind} ids")
+    return table
+
+
+def _lookup(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each id in the id-sorted ``table``, and whether it is available."""
+    if not len(table):
+        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    rows = np.minimum(np.searchsorted(table["id"], ids), len(table) - 1)
+    return rows, (table["id"][rows] == ids) & (table["state"][rows] == AVAILABLE)
 
 
 class SimState:
@@ -118,141 +123,158 @@ class SimState:
     def __init__(self, dataset: Dataset, seed: int | None = None):
         self.config: EpisodeConfig = dataset.config
         self.clock: float = 0.0
-        self.idle: dict[int, _IdleDriver] = {}
-        self.open_orders: dict[int, Order] = {}
-        self.serving: list[_Trip] = []
-        self.departed: set[int] = set()
+        self.drivers = drivers = _table(DRIVER_DTYPE, [
+            (d.id, d.position.x, d.position.y, 0, d.appear_time, d.offline_hazard,
+             d.appear_time, math.inf, -1, PENDING) for d in dataset.drivers], "driver")
+        self.orders = orders = _table(ORDER_DTYPE, [
+            (o.id, o.origin.x, o.origin.y, 0, o.destination.x, o.destination.y, 0, o.price,
+             o.appear_time, o.patience, o.trip_duration, PENDING)
+            for o in dataset.orders], "order")
+        drivers["cell"] = cell_ids(drivers["x"], drivers["y"], self.config)
+        orders["cell"] = cell_ids(orders["ox"], orders["oy"], self.config)
+        orders["dcell"] = cell_ids(orders["dx"], orders["dy"], self.config)
         self.ledger = MetricsLedger()
-        self._events = dataset.events()
-        self._next_event = 0
-        self._driver_by_id = {d.id: d for d in dataset.drivers}
         self.rng = np.random.default_rng(self.config.seed if seed is None else seed)
         self.terminated = False
         self._spawn_until(self.clock + self.config.batch_window_s)
 
-    # -- lifecycle ------------------------------------------------------------
+    # -- views -------------------------------------------------------------------
+
+    @property
+    def idle(self) -> np.ndarray:
+        """Rows of the idle drivers, in id order."""
+        return self.drivers.compress(self.drivers["state"] == AVAILABLE)
+
+    @property
+    def open_orders(self) -> np.ndarray:
+        """Rows of the open orders, in id order."""
+        return self.orders.compress(self.orders["state"] == AVAILABLE)
+
+    @property
+    def serving(self) -> np.ndarray:
+        """Rows of the drivers on a trip, in id order."""
+        return self.drivers.compress(self.drivers["state"] == SERVING)
+
+    @property
+    def departed(self) -> np.ndarray:
+        """Ids of the drivers that went offline."""
+        return self.drivers["id"][self.drivers["state"] == GONE]
+
+    # -- lifecycle ---------------------------------------------------------------
 
     def _spawn_until(self, limit: float) -> None:
-        while self._next_event < len(self._events):
-            ev = self._events[self._next_event]
-            if ev.appear_time >= limit:
-                break
-            self._next_event += 1
-            if isinstance(ev, Driver):
-                self.idle[ev.id] = _IdleDriver(ev, ev.position, ev.appear_time)
-                self.ledger.appeared_drivers += 1
-            else:
-                self.open_orders[ev.id] = ev
-                self.ledger.appeared_orders += 1
+        """Pending rows appearing before ``limit`` become available."""
+        for table in (self.drivers, self.orders):
+            state = table["state"]
+            state[(state == PENDING) & (table["appear"] < limit)] = AVAILABLE
+        self.ledger.appeared_drivers = int(np.count_nonzero(self.drivers["state"] != PENDING))
+        self.ledger.appeared_orders = int(np.count_nonzero(self.orders["state"] != PENDING))
+
+    def _pickups(self, d_rows: np.ndarray, o_rows: np.ndarray) -> list[float]:
+        """Pickup distance of each pair of rows, as :func:`~micod.core.distance`."""
+        dx = self.drivers["x"][d_rows] - self.orders["ox"][o_rows]
+        dy = self.drivers["y"][d_rows] - self.orders["oy"][o_rows]
+        return list(map(math.hypot, dx.tolist(), dy.tolist()))
 
     def step_batch(self,
-                   assignments: list[tuple[int, int]],
-                   held_pairs: list[tuple[int, int]] | None = None) -> "SimState":
+                   assignments: list[tuple[int, int]] | np.ndarray,
+                   held_pairs: list[tuple[int, int]] | np.ndarray | None = None) -> "SimState":
         """Execute one batch: ``assignments`` and ``held_pairs`` are
-        (driver_id, order_id) tuples over currently idle drivers / open orders.
+        (driver_id, order_id) pairs over currently idle drivers / open orders,
+        as tuples or as the rows of an n x 2 integer array.
         """
         if self.terminated:
             raise SimulationStateError("episode already terminated")
-        held_pairs = held_pairs or []
+        ledger, drivers, orders = self.ledger, self.drivers, self.orders
 
-        seen_d: set[int] = set()
-        seen_o: set[int] = set()
-        for d_id, o_id in assignments:
-            if d_id in seen_d or o_id in seen_o:
-                raise ConstraintViolationError(
-                    f"double assignment: driver {d_id} / order {o_id}")
-            if d_id not in self.idle:
-                raise ConstraintViolationError(f"driver {d_id} is not idle")
-            if o_id not in self.open_orders:
-                raise ConstraintViolationError(f"order {o_id} is not open")
-            seen_d.add(d_id)
-            seen_o.add(o_id)
+        batch_pickup = batch_income = 0.0
+        if len(assignments):
+            ids = np.asarray(assignments, dtype=np.int64).reshape(-1, 2)
+            d_rows, d_ok = _lookup(drivers, ids[:, 0])
+            o_rows, o_ok = _lookup(orders, ids[:, 1])
+            seen_d, seen_o = set(), set()
+            for (d_id, o_id), idle, open_ in zip(ids.tolist(), d_ok.tolist(), o_ok.tolist()):
+                if d_id in seen_d or o_id in seen_o:
+                    raise ConstraintViolationError(
+                        f"double assignment: driver {d_id} / order {o_id}")
+                if not idle:
+                    raise ConstraintViolationError(f"driver {d_id} is not idle")
+                if not open_:
+                    raise ConstraintViolationError(f"order {o_id} is not open")
+                seen_d.add(d_id)
+                seen_o.add(o_id)
 
-        batch_pickup = 0.0
-        batch_income = 0.0
-        for d_id, o_id in assignments:
-            idle = self.idle.pop(d_id)
-            order = self.open_orders.pop(o_id)
-            pickup_m = distance(idle.position, order.origin)
-            pickup_s = pickup_m / self.config.pickup_speed_mps
-            batch_pickup += pickup_m
-            batch_income += order.price
-            self.serving.append(_Trip(
-                driver_id=d_id, order_id=o_id,
-                complete_time=self.clock + pickup_s + order.trip_duration,
-                destination=order.destination,
-            ))
-        self.ledger.sum_pickup_distance += batch_pickup
-        self.ledger.sum_income += batch_income
-        self.ledger.batch_pickup_sums.append(batch_pickup)
-        self.ledger.batch_income_sums.append(batch_income)
+            pickups = self._pickups(d_rows, o_rows)
+            batch_pickup = reduce(add, pickups, 0.0)
+            batch_income = reduce(add, orders["price"][o_rows].tolist(), 0.0)
+            pickup_s = np.array(pickups) / self.config.pickup_speed_mps
+            drivers["done"][d_rows] = self.clock + pickup_s + orders["trip"][o_rows]
+            drivers["x"][d_rows] = orders["dx"][o_rows]
+            drivers["y"][d_rows] = orders["dy"][o_rows]
+            drivers["cell"][d_rows] = orders["dcell"][o_rows]
+            drivers["order"][d_rows] = ids[:, 1]
+            drivers["state"][d_rows] = SERVING
+            orders["state"][o_rows] = GONE
+        ledger.sum_pickup_distance += batch_pickup
+        ledger.sum_income += batch_income
+        ledger.batch_pickup_sums.append(batch_pickup)
+        ledger.batch_income_sums.append(batch_income)
 
-        held_records: list[HeldPair] = []
-        for d_id, o_id in held_pairs:
-            if d_id not in self.idle:
-                raise ConstraintViolationError(f"held driver {d_id} is not idle")
-            if o_id not in self.open_orders:
-                raise ConstraintViolationError(f"held order {o_id} is not open")
-            order = self.open_orders[o_id]
-            held_records.append(HeldPair(
-                driver_id=d_id, order_id=o_id,
-                pickup_m=distance(self.idle[d_id].position, order.origin),
-                price=order.price,
-            ))
-            self.ledger.held_distinct_driver_ids.add(d_id)
-            self.ledger.held_distinct_order_ids.add(o_id)
-        self.ledger.held_batches.append(held_records)
+        if held_pairs is not None and len(held_pairs):
+            held = np.asarray(held_pairs, dtype=np.int64).reshape(-1, 2)
+            d_rows, d_ok = _lookup(drivers, held[:, 0])
+            o_rows, o_ok = _lookup(orders, held[:, 1])
+            bad = np.flatnonzero(~(d_ok & o_ok))
+            if len(bad):  # the first unavailable pair, driver checked first
+                d_id, o_id = held[bad[0]].tolist()
+                raise ConstraintViolationError(f"held driver {d_id} is not idle" if not d_ok[bad[0]]
+                                               else f"held order {o_id} is not open")
+            ledger.held_pairs += len(held)
+            ledger.held_pickup_sum = reduce(add, self._pickups(d_rows, o_rows),
+                                            ledger.held_pickup_sum)
+            ledger.held_price_sum = reduce(add, orders["price"][o_rows].tolist(),
+                                           ledger.held_price_sum)
+            ledger.held_distinct_driver_ids.update(held[:, 0].tolist())
+            ledger.held_distinct_order_ids.update(held[:, 1].tolist())
 
         self.clock += self.config.batch_window_s
-        self._complete_trips()
+        self._release((drivers["state"] == SERVING) & (drivers["done"] <= self.clock))
         self._spawn_until(self.clock + self.config.batch_window_s)
-        self._cancel_expired()
-        self._offline_departures()
+        self._cancel((orders["state"] == AVAILABLE)
+                     & (self.clock - orders["appear"] >= orders["patience"]))
+        # one uniform draw per idle driver with a positive hazard, in id order
+        at_risk = np.flatnonzero((drivers["state"] == AVAILABLE) & (drivers["hazard"] > 0.0))
+        if len(at_risk):
+            leave = self.rng.random(len(at_risk)) < drivers["hazard"][at_risk]
+            drivers["state"][at_risk[leave]] = GONE
         return self
 
-    def _complete_trips(self) -> None:
-        due = [t for t in self.serving if t.complete_time <= self.clock]
-        self.serving = [t for t in self.serving if t.complete_time > self.clock]
-        self._release(due)
+    def _release(self, due: np.ndarray) -> None:
+        """Complete the ``due`` trips; each driver idles at its destination from the trip's end."""
+        rows = np.flatnonzero(due)
+        drivers = self.drivers
+        drivers["since"][rows] = drivers["done"][rows]
+        drivers["state"][rows] = AVAILABLE
+        self.ledger.completed_orders += len(rows)
+        self.ledger.served_order_ids.update(drivers["order"][rows].tolist())
+        self.ledger.served_driver_ids.update(drivers["id"][rows].tolist())
 
-    def _release(self, trips: list[_Trip]) -> None:
-        """Complete ``trips`` in (completion time, driver id) order, leaving
-        each driver idle at its destination."""
-        for trip in sorted(trips, key=lambda t: (t.complete_time, t.driver_id)):
-            drv = self._driver_by_id[trip.driver_id]
-            self.idle[trip.driver_id] = _IdleDriver(drv, trip.destination, trip.complete_time)
-            self.ledger.completed_orders += 1
-            self.ledger.served_order_ids.add(trip.order_id)
-            self.ledger.served_driver_ids.add(trip.driver_id)
-
-    def _cancel_expired(self) -> None:
-        for o_id in sorted(self.open_orders):
-            order = self.open_orders[o_id]
-            if self.clock - order.appear_time >= order.patience:
-                del self.open_orders[o_id]
-                self.ledger.cancelled_orders += 1
-
-    def _offline_departures(self) -> None:
-        for d_id in sorted(self.idle):
-            hazard = self.idle[d_id].driver.offline_hazard
-            if hazard > 0.0 and self.rng.random() < hazard:
-                del self.idle[d_id]
-                self.departed.add(d_id)
+    def _cancel(self, expired: np.ndarray) -> None:
+        """Cancel the open orders ``expired`` marks."""
+        self.orders["state"][expired] = GONE
+        self.ledger.cancelled_orders += int(np.count_nonzero(expired))
 
     def finish(self) -> None:
         """Terminate the episode: in-flight trips complete (service is
         deterministic once dispatched) and still-open orders cancel."""
         if self.terminated:
             return
-        for o_id in sorted(self.open_orders):
-            del self.open_orders[o_id]
-            self.ledger.cancelled_orders += 1
-        self._release(self.serving)
-        self.serving = []
+        self._cancel(self.orders["state"] == AVAILABLE)
+        self._release(self.drivers["state"] == SERVING)
         self.terminated = True
         self.ledger.finalized = True
 
-    # -- queries ---------------------------------------------------------------
+    # -- queries -----------------------------------------------------------------
 
     @property
     def episode_over(self) -> bool:
@@ -263,36 +285,27 @@ class SimState:
         radius, in (order id, driver id) order. One ``np.hypot`` broadcast
         decides all but the pairs within a few ulps of the radius, where it
         may round apart from :func:`~micod.core.distance`, which decides those."""
-        if not self.open_orders or not self.idle:  # a third of batches in small worlds
+        o, d = self.open_orders, self.idle
+        if not len(o) or not len(d):  # a third of batches in small worlds
             return np.empty((0, 2), dtype=np.int64)
         r = self.config.match_radius_m
-        o_ids = np.array(sorted(self.open_orders), dtype=np.int64)
-        d_ids = np.array(sorted(self.idle), dtype=np.int64)
-        origins = [self.open_orders[o].origin for o in o_ids.tolist()]
-        positions = [self.idle[d].position for d in d_ids.tolist()]
-        o_xy = np.array([(p.x, p.y) for p in origins])
-        d_xy = np.array([(p.x, p.y) for p in positions])
-        dist = np.hypot(d_xy[:, 0] - o_xy[:, :1], d_xy[:, 1] - o_xy[:, 1:])
+        dx = d["x"] - o["ox"][:, None]
+        dy = d["y"] - o["oy"][:, None]
+        dist = np.hypot(dx, dy)
         eligible = dist <= r
         near = np.nonzero(np.abs(dist - r) <= 4 * np.spacing(r))
-        eligible[near] = [distance(positions[j], origins[i]) <= r for i, j in zip(*near)]
+        eligible[near] = [h <= r for h in map(math.hypot, dx[near].tolist(), dy[near].tolist())]
         rows, cols = np.nonzero(eligible)
-        return np.array([d_ids[cols], o_ids[rows]]).T
+        return np.array([d["id"][cols], o["id"][rows]]).T
 
     def order_state_counts(self) -> dict[str, int]:
-        return {
-            "open": len(self.open_orders),
-            "serving": len(self.serving),
-            "completed": self.ledger.completed_orders,
-            "cancelled": self.ledger.cancelled_orders,
-        }
+        return {"open": len(self.open_orders), "serving": len(self.serving),
+                "completed": self.ledger.completed_orders,
+                "cancelled": self.ledger.cancelled_orders}
 
     def driver_state_counts(self) -> dict[str, int]:
-        return {
-            "idle": len(self.idle),
-            "serving": len(self.serving),
-            "departed": len(self.departed),
-        }
+        return {"idle": len(self.idle), "serving": len(self.serving),
+                "departed": len(self.departed)}
 
     def assert_conservation(self) -> None:
         oc = self.order_state_counts()
@@ -316,22 +329,16 @@ def episode_metrics(ledger: MetricsLedger) -> MetricsReport:
     cr = n_done / n_app_o if n_app_o else 0.0
     apd = ledger.sum_pickup_distance / n_done if n_done else None
 
-    held = ledger.all_held()
-    if held:
-        mean_held_pickup = sum(h.pickup_m for h in held) / len(held)
-        mean_held_price = sum(h.price for h in held) / len(held)
+    if ledger.held_pairs:
+        mean_held_pickup = ledger.held_pickup_sum / ledger.held_pairs
+        mean_held_price = ledger.held_price_sum / ledger.held_pairs
         hold_apd = mean_held_pickup / apd if apd else None
         mean_done_price = ledger.sum_income / n_done if n_done else None
         hold_tdi = mean_held_price / mean_done_price if mean_done_price else None
     else:
-        hold_apd = 0.0
-        hold_tdi = 0.0
+        hold_apd = hold_tdi = 0.0
 
     return MetricsReport(
-        appeared_orders=n_app_o,
-        completed_orders=n_done,
-        cancelled_orders=ledger.cancelled_orders,
-        appeared_drivers=n_app_d,
         cr=cr,
         apd=apd,
         tdi=ledger.sum_income,
@@ -341,4 +348,6 @@ def episode_metrics(ledger: MetricsLedger) -> MetricsReport:
         hold_d_ratio=len(ledger.held_distinct_driver_ids) / n_app_d if n_app_d else 0.0,
         order_sr=len(ledger.served_order_ids) / n_app_o if n_app_o else 0.0,
         driver_sr=len(ledger.served_driver_ids) / n_app_d if n_app_d else 0.0,
+        appeared_orders=n_app_o, completed_orders=n_done,
+        cancelled_orders=ledger.cancelled_orders, appeared_drivers=n_app_d,
     )

@@ -61,6 +61,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.critic_target not in ("current", "next_state"):
             raise ValueError("critic_target must be 'current' or 'next_state'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -101,7 +103,7 @@ def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
         while not done:
             action = sample_action(state, params, ep_rng, force_exhaustive=force_exhaustive)
             value = to_float(critic_value(state, params))
-            reward, nxt, done = env.finalize_batch(action.selected, action.held, state=state)
+            reward, nxt, done = env.finalize_batch(action.selected, action.held)
             steps.append(StepRecord(state=state, action=action, reward=reward,
                                     value=value, logp_old=action.logp))
             total += reward
@@ -225,8 +227,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
             entropy_terms = []
             critic_terms = []
             for rec, adv, tgt in batch:
-                lp, _, ent = log_prob(rec.state, rec.action, tensors,
-                                      config=params.config, want_entropy=True)
+                lp, _, ent = log_prob(rec.state, rec.action, tensors, want_entropy=True)
                 if isinstance(lp, Tensor):
                     ratio = (lp - rec.logp_old).exp()
                 else:
@@ -236,7 +237,7 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 policy_terms.append(clipped_objective(ratio, adv, cfg.clip_eps))
                 entropy_terms.append(ent)
                 entropies.append(to_float(ent))
-                v = critic_value(rec.state, tensors, config=params.config)
+                v = critic_value(rec.state, tensors)
                 critic_terms.append((v - tgt) * (v - tgt))
 
             inv = 1.0 / len(batch)
@@ -258,8 +259,9 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 continue  # nothing differentiable in this batch
             total.backward()
 
-            a_grads = {n: tensors[n].grad for n in actor_names if tensors[n].grad is not None}
-            c_grads = {n: tensors[n].grad for n in critic_names if tensors[n].grad is not None}
+            leaves = tensors.tensors
+            a_grads = {n: leaves[n].grad for n in actor_names if leaves[n].grad is not None}
+            c_grads = {n: leaves[n].grad for n in critic_names if leaves[n].grad is not None}
             _clip_grads(a_grads, cfg.grad_clip)
             _clip_grads(c_grads, cfg.grad_clip)
             actor_opt.step(params.tensors, a_grads, cfg.lr)

@@ -124,7 +124,7 @@ def test_c04_gradient_check_against_finite_differences():
         h = 1e-5
         worst = 0.0
         for name, arr in params.tensors.items():
-            g_an = tensors[name].grad
+            g_an = tensors.tensors[name].grad
             if g_an is None:
                 g_an = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
@@ -143,9 +143,9 @@ def test_c04_gradient_check_against_finite_differences():
         return worst
 
     w1 = run_checks(lambda: to_float(log_prob(s, action, params)[0]),
-                    lambda t: log_prob(s, action, t, config=cfg)[0])
+                    lambda t: log_prob(s, action, t)[0])
     w2 = run_checks(lambda: to_float(critic_value(s, params)),
-                    lambda t: critic_value(s, t, config=cfg))
+                    lambda t: critic_value(s, t))
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report("C04 gradient-check",

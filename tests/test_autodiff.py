@@ -266,10 +266,10 @@ def _network_grads(monkeypatch, fused: bool):
     action = d2sn.ActionRecord(steps=[(0, 0), (0, 3), (0, 5), (1, None)], selected=[0, 3, 5],
                                held=[], exhaustive=False, logp=0.0)
     tensors = d2sn.as_tensors(params)
-    lp, _, ent = d2sn.log_prob(state, action, tensors, config=cfg, want_entropy=True)
-    v = d2sn.critic_value(state, tensors, config=cfg)
+    lp, _, ent = d2sn.log_prob(state, action, tensors, want_entropy=True)
+    v = d2sn.critic_value(state, tensors)
     (lp * 0.7 + ent * 0.3 + v * v).backward()
-    return {n: t.grad for n, t in tensors.items()}
+    return {n: t.grad for n, t in tensors.tensors.items()}
 
 
 def test_network_gradients_bitwise_equal_through_fused_ops(monkeypatch):

@@ -354,9 +354,9 @@ def test_tensor_mode_matches_fast_mode(params):
     a = sample_action(s, params, np.random.default_rng(9))
     fast_total, _ = log_prob(s, a, params)
     tensors = as_tensors(params)
-    slow_total, _ = log_prob(s, a, tensors, config=params.config)
+    slow_total, _ = log_prob(s, a, tensors)
     assert to_float(slow_total) == to_float(fast_total)
-    assert to_float(critic_value(s, tensors, config=params.config)) == \
+    assert to_float(critic_value(s, tensors)) == \
         to_float(critic_value(s, params))
 
 
@@ -379,7 +379,7 @@ def test_graph_size_does_not_grow_with_pool_rows(params):
     tensors = as_tensors(params)
     small = make_state([(i, i) for i in range(3)], seed=61)
     large = make_state([(i, i) for i in range(40)], seed=62)
-    agg = [graph_size(aggregate(s.feature_matrix, tensors, CFG)) for s in (small, large)]
-    crit = [graph_size(critic_value(s, tensors, CFG)) for s in (small, large)]
+    agg = [graph_size(aggregate(s.feature_matrix, tensors)) for s in (small, large)]
+    crit = [graph_size(critic_value(s, tensors)) for s in (small, large)]
     assert agg[0] == agg[1]
     assert crit[0] == crit[1]

@@ -177,20 +177,20 @@ def _two_pair_env(reward_mode):
 
 def test_finalize_tdi_reward_sums_prices():
     env, s, rows = _two_pair_env("TDI")
-    reward, _, done = env.finalize_batch([rows[(0, 0)], rows[(1, 1)]], [], state=s)
+    reward, _, done = env.finalize_batch([rows[(0, 0)], rows[(1, 1)]], [])
     assert reward == 25.0
     assert not done
 
 
 def test_finalize_apd_reward_negative_km():
     env, s, rows = _two_pair_env("APD")
-    reward, _, _ = env.finalize_batch([rows[(0, 0)], rows[(1, 1)]], [], state=s)
+    reward, _, _ = env.finalize_batch([rows[(0, 0)], rows[(1, 1)]], [])
     assert reward == -2.0  # (500 + 1500) m -> 2.0 km
 
 
 def test_finalize_zero_assignments_zero_reward():
     env, s, _ = _two_pair_env("TDI")
-    reward, _, _ = env.finalize_batch([], list(range(s.n_pairs)), state=s)
+    reward, _, _ = env.finalize_batch([], list(range(s.n_pairs)))
     assert reward == 0.0
 
 
@@ -229,5 +229,5 @@ def test_pool_size_varies_across_batches():
     env = DispatchEnv(make_dataset(drivers, orders), seed=0)
     s0 = env.reset()
     assert s0.n_pairs == 1
-    _, s1, _ = env.finalize_batch([], [0], state=s0)
+    _, s1, _ = env.finalize_batch([], [0])
     assert s1.n_pairs == 6  # 3 drivers x 2 orders after the second window

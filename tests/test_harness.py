@@ -474,6 +474,43 @@ def test_cli_eval_zero_seeds_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_cli_eval_negative_seed_is_usage_error(tmp_path):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    out = tmp_path / "o.csv"
+    rc = main(["eval", "--policy", "km", "--dataset", ds_path, "--seed", "-3",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cli_generate_negative_seed_is_usage_error(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["generate", "--level", "L1", "--bin", "400", "--seed", "-1", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cli_train_negative_seed_is_data_error(tmp_path, capsys):
+    small_dataset(str(tmp_path / "d.jsonl"))
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {tmp_path / 'd.jsonl'}\niterations = 1\nseed = -2\n")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out_dir)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(config) in err and "seed" in err
+    assert not (out_dir / "curves.csv").exists()
+
+
+def test_cli_generate_config_unknown_level_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"level = L9\nbin = 400\nout = {tmp_path / 'out'}\n")
+    assert main(["generate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "level" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_train_bad_config_key(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("datasets = none.jsonl\nwhatever = 3\n")
@@ -498,3 +535,8 @@ def test_eval_plan_validation():
 def test_eval_plan_rejects_empty_seed_list():
     with pytest.raises(UsageError, match="seed"):
         EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=["x"], seeds=[])
+
+
+def test_eval_plan_rejects_negative_seed():
+    with pytest.raises(UsageError, match="seed"):
+        EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=["x"], seeds=[0, -1])

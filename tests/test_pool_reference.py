@@ -8,6 +8,7 @@ their grid cell one at a time. ``SimState.eligible_pairs`` and
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,16 +22,43 @@ from micod.env import (CELL_SCALE, COUNT_SCALE, F_BATCH, F_BIAS, F_DRIVER_SUPPLY
 from micod.scenario import Dataset
 from micod.simulator import SimState
 
+# -- the simulator's entity rows as the per-pair build read them --------------------
+
+
+class IdleDriver(NamedTuple):
+    position: Location
+    idle_since: float
+
+
+def columns(rows, *names):
+    return zip(*(rows[name].tolist() for name in names))
+
+
+def open_orders(sim) -> dict[int, Order]:
+    """Open orders by id, rebuilt from the simulator's order rows."""
+    return {i: Order(i, Location(ox, oy), Location(dx, dy), price, appear, patience, trip)
+            for i, ox, oy, dx, dy, price, appear, patience, trip
+            in columns(sim.open_orders, "id", "ox", "oy", "dx", "dy", "price", "appear",
+                       "patience", "trip")}
+
+
+def idle_drivers(sim) -> dict[int, IdleDriver]:
+    """Idle drivers by id, rebuilt from the simulator's driver rows."""
+    return {i: IdleDriver(Location(x, y), since)
+            for i, x, y, since in columns(sim.idle, "id", "x", "y", "since")}
+
+
 # -- reference: the per-pair build ------------------------------------------------
 
 
 def reference_pairs(sim):
     r = sim.config.match_radius_m
+    orders, idle = open_orders(sim), idle_drivers(sim)
     pairs = []
-    for o_id in sorted(sim.open_orders):
-        origin = sim.open_orders[o_id].origin
-        for d_id in sorted(sim.idle):
-            if distance(sim.idle[d_id].position, origin) <= r:
+    for o_id in sorted(orders):
+        origin = orders[o_id].origin
+        for d_id in sorted(idle):
+            if distance(idle[d_id].position, origin) <= r:
                 pairs.append((d_id, o_id))
     return pairs
 
@@ -44,10 +72,10 @@ def reference_cell(p, cfg):
 
 def reference_demand_supply(sim):
     demand, supply = {}, {}
-    for order in sim.open_orders.values():
+    for order in open_orders(sim).values():
         k = reference_cell(order.origin, sim.config)
         demand[k] = demand.get(k, 0) + 1
-    for idle in sim.idle.values():
+    for idle in idle_drivers(sim).values():
         k = reference_cell(idle.position, sim.config)
         supply[k] = supply.get(k, 0) + 1
     return demand, supply
@@ -55,8 +83,8 @@ def reference_demand_supply(sim):
 
 def reference_feature_row(driver_id, order_id, sim, cells):
     cfg = sim.config
-    idle = sim.idle[driver_id]
-    order = sim.open_orders[order_id]
+    idle = idle_drivers(sim)[driver_id]
+    order = open_orders(sim)[order_id]
     demand_cells, supply_cells = cells
 
     pickup_m = np.hypot(idle.position.x - order.origin.x, idle.position.y - order.origin.y)
@@ -85,7 +113,7 @@ def reference_feature_row(driver_id, order_id, sim, cells):
 def reference_global_info(sim, cells):
     cfg = sim.config
     demand_cells, supply_cells = cells
-    n_demand, n_supply = len(sim.open_orders), len(sim.idle)
+    n_demand, n_supply = len(open_orders(sim)), len(idle_drivers(sim))
     g = np.zeros(global_info_dim(cfg), dtype=np.float64)
     g[0] = n_demand / COUNT_SCALE
     g[1] = n_supply / COUNT_SCALE

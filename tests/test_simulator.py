@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from micod.core import Driver, EpisodeConfig, Location, Order
+from micod.core import DomainError, Driver, EpisodeConfig, Location, Order
 from micod.scenario import Dataset, ScenarioSpec, generate
 from micod.simulator import (ConstraintViolationError, MetricsLedger, SimState,
                              SimulationStateError, episode_metrics)
@@ -72,9 +72,10 @@ def test_trip_completion_releases_driver_at_destination():
     sim.step_batch([(0, 0)], [])
     for _ in range(73):
         sim.step_batch([], [])
-    assert 0 not in sim.idle  # clock 148, trip still running
+    assert 0 not in sim.idle["id"]  # clock 148, trip still running
     sim.step_batch([], [])  # clock 150 = completion time
-    assert sim.idle[0].position == dest
+    (idle,) = sim.idle[sim.idle["id"] == 0]
+    assert Location(idle["x"], idle["y"]) == dest
     assert sim.ledger.completed_orders == 1
     assert sim.ledger.served_driver_ids == {0}
 
@@ -102,11 +103,18 @@ def test_held_pairs_recorded():
     orders = [order(0, Location(0, 600), price=4.0)]
     sim = SimState(make_dataset(drivers, orders), seed=0)
     sim.step_batch([], [(0, 0)])
-    held = sim.ledger.all_held()
-    assert len(held) == 1
-    assert held[0].pickup_m == 600.0 and held[0].price == 4.0
+    assert sim.ledger.held_pairs == 1
+    assert sim.ledger.held_pickup_sum == 600.0 and sim.ledger.held_price_sum == 4.0
     assert sim.ledger.held_distinct_driver_ids == {0}
     assert sim.ledger.held_distinct_order_ids == {0}
+
+
+def test_duplicate_entity_ids_rejected():
+    with pytest.raises(DomainError, match="driver"):
+        SimState(make_dataset([Driver(4, Location(0, 0), 0.0), Driver(4, Location(9, 9), 1.0)],
+                              []), seed=0)
+    with pytest.raises(DomainError, match="order"):
+        SimState(make_dataset([], [order(2, Location(0, 0)), order(2, Location(5, 5))]), seed=0)
 
 
 def test_held_pair_must_reference_available_entities():
@@ -180,11 +188,10 @@ def test_metrics_no_held_pairs():
 
 
 def test_metrics_hold_apd_ratio():
-    from micod.simulator import HeldPair
     ledger = MetricsLedger(appeared_orders=10, completed_orders=5, cancelled_orders=5,
                            appeared_drivers=10, sum_pickup_distance=6000.0,
                            sum_income=50.0, finalized=True)
-    ledger.held_batches.append([HeldPair(0, 0, 1800.0, 10.0)])
+    ledger.held_pairs, ledger.held_pickup_sum, ledger.held_price_sum = 1, 1800.0, 10.0
     ledger.held_distinct_driver_ids.add(0)
     ledger.held_distinct_order_ids.add(0)
     report = episode_metrics(ledger)

@@ -180,15 +180,15 @@ def test_critic_regression_loss_decreases_on_fixed_batch():
         tensors = as_tensors(params)
         terms = []
         for rec, tgt in zip(steps, targets):
-            v = critic_value(rec.state, tensors, config=params.config)
+            v = critic_value(rec.state, tensors)
             terms.append((v - tgt) * (v - tgt))
         loss = terms[0]
         for t in terms[1:]:
             loss = loss + t
         loss = loss * (1.0 / len(terms))
         loss.backward()
-        grads = {n: tensors[n].grad for n in params.critic_names()
-                 if tensors[n].grad is not None}
+        grads = {n: tensors.tensors[n].grad for n in params.critic_names()
+                 if tensors.tensors[n].grad is not None}
         critic_opt.step(params.tensors, grads, lr=1e-2)
         losses.append(critic_loss())
     assert losses[-1] < losses[0]
