@@ -4,12 +4,13 @@ A :class:`Tensor` wraps a float64 ndarray and records the operation graph;
 ``backward()`` accumulates gradients by iterative topological traversal (the
 graphs here get thousands of nodes deep, so no recursion).
 
-The module-level helpers (``exp``, ``concat``, ``softmax_rows``, ...) dispatch on
-argument type: given plain ndarrays they run straight numpy, given Tensors they
-build graph nodes. Network code written against these helpers therefore runs
-identically in a fast no-gradient mode and a differentiable mode. The network's
-two loops, the GRU scan and multi-head attention, are fused ops of this kind
-(``gru_scan``, ``attention``) that record one node per call.
+The module-level helpers (``exp``, ``concat``, ``log_softmax_vec``, ...)
+dispatch on argument type: given plain ndarrays they run straight numpy, given
+Tensors they build graph nodes. Network code written against these helpers
+therefore runs identically in a fast no-gradient mode and a differentiable
+mode. The network's two loops, the GRU scan and multi-head attention, are
+fused ops of this kind (``gru_scan``, ``attention``) that record one node per
+call.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-ArrayLike = "np.ndarray | Tensor | float | int"
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -86,9 +85,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> np.ndarray:
         return self.data
@@ -267,13 +263,6 @@ def detach(x):
 
 def to_float(x) -> float:
     return float(x.data) if isinstance(x, Tensor) else float(x)
-
-
-def softmax_rows(x):
-    """Row-wise softmax; the max shift is detached so gradients stay exact."""
-    shift = detach(x).max(axis=-1, keepdims=True)
-    e = exp(x - shift)
-    return e / asum(e, axis=-1, keepdims=True)
 
 
 def log_softmax_vec(x):

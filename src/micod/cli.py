@@ -7,6 +7,7 @@ Config files are line-oriented ``key = value`` with ``#`` comments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -57,6 +58,19 @@ def _one_of(choices, convert=str):
             raise ValueError(f"{text!r} is not one of {list(choices)}")
         return convert(text)
     return parse
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"{text!r} is not one of 1/0/true/false/yes/no")
+
+
+# Config-file converter for each ``TrainConfig`` field type.
+_CONVERTERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,22 +125,15 @@ def _run_train(args) -> int:
         if not hits:
             raise DataError(f"no datasets match {pattern.strip()!r}")
         paths.extend(hits)
-    reward_mode = raw.pop("reward_mode", None)
+    reward_mode = _setting(None, raw, args.config, "reward_mode", _one_of(("APD", "TDI")))
+    raw.pop("reward_mode", None)
 
+    converters = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(TrainConfig)}
     kwargs = {}
-    types = {
-        "gamma": float, "lam": float, "clip_eps": float, "lr": float,
-        "epochs": int, "minibatch_size": int, "iterations": int,
-        "episodes_per_iter": int, "entropy_coef": float, "grad_clip": float,
-        "normalize_adv": lambda v: v.lower() in ("1", "true", "yes"),
-        "critic_target": str, "update_sample_size": int,
-        "force_exhaustive": lambda v: v.lower() in ("1", "true", "yes"),
-        "seed": int,
-    }
     for key in raw:
-        if key not in types:
+        if key not in converters:
             raise DataError(f"{args.config}: unknown key {key!r}")
-        kwargs[key] = _setting(None, raw, args.config, key, types[key])
+        kwargs[key] = _setting(None, raw, args.config, key, converters[key])
     try:
         cfg = TrainConfig(**kwargs)
     except ValueError as exc:

@@ -7,7 +7,8 @@ pairs, in order) into one fixed-size context vector. Two heads read that
 context: a binary hold head that can end the batch early, and a cross-attention
 decision head scoring each remaining pair. A complete batch action is the
 sequence of sampled sub-actions; its probability is the product of the
-per-sub-step head probabilities.
+per-sub-step head probabilities. One walker runs the heads for both sampling
+(:func:`sample_action`) and teacher-forced replay (:func:`log_prob`).
 
 The critic mirrors the decoder trunk with its own parameters but sees only the
 outer state (pool plus global context), never sub-states or actions.
@@ -25,6 +26,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -182,42 +185,18 @@ def aggregate(substate_features: np.ndarray, params: D2snParams):
 
 
 def _hold_log_probs(G, global_info: np.ndarray, P: dict):
+    """Hold head: log (p_continue, p_hold) from the context and global info."""
     inp = concat([G, global_info.reshape(1, -1)], axis=1)
     hid = tanh(inp @ P["hold_w1"] + P["hold_b1"])
     logits = hid @ P["hold_w2"] + P["hold_b2"]
     return log_softmax_vec(logits[0, :])
 
 
-def hold_head(G, global_info: np.ndarray, params: D2snParams) -> np.ndarray:
-    """Binary stop distribution as (p_continue, p_hold)."""
-    lp = _hold_log_probs(G, global_info, params.tensors)
-    return np.exp(detach(lp))
-
-
 def _decision_logits(R, G, global_info: np.ndarray, P: dict, d_model: int):
+    """Decision head: one scaled dot-product logit per row of ``R``."""
     q = concat([G, global_info.reshape(1, -1)], axis=1) @ P["cq_w"] + P["cq_b"]
     k = R @ P["ck_w"] + P["ck_b"]
     return (k @ q.T)[:, 0] / math.sqrt(d_model)
-
-
-def decision_head(R, G, global_info: np.ndarray, params: D2snParams,
-                  mask: np.ndarray | None = None) -> np.ndarray:
-    """Probability over pool rows: scaled dot-product between the fixed-size
-    query and one key per row; masked rows get exactly zero."""
-    logits = detach(_decision_logits(R, G, global_info, params.tensors,
-                                     params.config.d_model))
-    n = logits.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    avail = np.flatnonzero(mask)
-    if len(avail) == 0:
-        raise IllegalActionError("decision head invoked with every row masked")
-    z = logits[avail]
-    z = z - z.max()
-    e = np.exp(z)
-    probs = np.zeros(n)
-    probs[avail] = e / e.sum()
-    return probs
 
 
 # -- action sampling and replay ----------------------------------------------------
@@ -309,10 +288,7 @@ class _Walk:
             mask = mask_after_selection(self.state, mask, c_pool)
             k += 1
 
-        total = step_logps[0]
-        for t in step_logps[1:]:
-            total = total + t
-        return steps, selected, held, step_logps, total, entropy
+        return steps, selected, held, step_logps, reduce(add, step_logps), entropy
 
     def _pick_h(self, lp_hold, k: int):
         if self.force_exhaustive:

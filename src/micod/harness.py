@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matching, scenario
 from .d2sn import D2snParams, load_checkpoint, sample_action
-from .env import DispatchEnv, OuterState
+from .env import N_PAIR_FEATURES, DispatchEnv, OuterState, global_info_dim
 from .scenario import Dataset, ScenarioSpec
 from .simulator import MetricsReport
 
@@ -187,6 +187,18 @@ def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> li
         level, cap = (cell if cell else ("NA", "NA"))
         datasets.append((path, ds, str(level), str(cap)))
 
+    # A network that does not fit a dataset fails here, before any episode.
+    for spec, factory in policies:
+        policy = factory()
+        if isinstance(policy, D2snPolicy):
+            net = policy.params.config
+            for path, ds, _, _ in datasets:
+                g_dim = global_info_dim(ds.config)
+                if (net.g_dim, net.d_feat) != (g_dim, N_PAIR_FEATURES):
+                    raise DataError(f"checkpoint {spec.checkpoint} does not fit dataset {path}: "
+                                    f"network g_dim={net.g_dim}, d_feat={net.d_feat}; dataset "
+                                    f"needs g_dim={g_dim}, d_feat={N_PAIR_FEATURES}")
+
     rows = []
     for spec, factory in policies:
         for path, ds, level, cap in datasets:
@@ -211,8 +223,6 @@ _METRIC_COLS = ["cr", "apd", "tdi", "hold_apd_ratio", "hold_o_ratio",
 def _aggregate_rows(run_rows: list[dict]) -> list[dict]:
     groups: dict[tuple, list[dict]] = {}
     for row in run_rows:
-        if row["kind"] != "run":
-            continue
         groups.setdefault((row["policy"], row["level"], row["capacity_bin"]), []).append(row)
     out = []
     for (policy, level, cap) in sorted(groups):

@@ -2,15 +2,15 @@
 (L1..L4) and driver-capacity bin (<=400, <=550, <=800), plus line-delimited
 persistence and taxonomy classification.
 
-All generation parameters are exposed on :class:`GeneratorParams` so tests can
-craft adversarial scenarios; nothing is fitted to real data.
+The world model's constants (hotspots, patience, offline hazard, trip speed,
+pricing) are module-level; nothing is fitted to real data.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,22 +38,19 @@ class DatasetParseError(DomainError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Knobs of the synthetic world model."""
-
-    n_hotspots: int = 4
-    hotspot_spread_m: float = 600.0
-    initial_supply_frac: float = 0.5   # share of drivers present at t = 0
-    arrival_wave_amp: float = 0.8      # order intensity bump at mid-episode
-    patience_min_s: float = 30.0
-    patience_mean_s: float = 120.0     # shifted-exponential mean
-    offline_hazard_max: float = 0.005
-    trip_speed_mps: float = 7.0
-    trip_min_s: float = 60.0
-    price_base: float = 2.0
-    price_per_km: float = 1.2
-    price_noise: float = 0.3
+# The synthetic world model.
+_N_HOTSPOTS = 4
+_HOTSPOT_SPREAD_M = 600.0
+_INITIAL_SUPPLY_FRAC = 0.5   # share of drivers present at t = 0
+_ARRIVAL_WAVE_AMP = 0.8      # order intensity bump at mid-episode
+_PATIENCE_MIN_S = 30.0
+_PATIENCE_MEAN_S = 120.0     # shifted-exponential mean
+_OFFLINE_HAZARD_MAX = 0.005
+_TRIP_SPEED_MPS = 7.0
+_TRIP_MIN_S = 60.0
+_PRICE_BASE = 2.0
+_PRICE_PER_KM = 1.2
+_PRICE_NOISE = 0.3
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class ScenarioSpec:
     capacity_bin: int
     seed: int = 0
     scale_factor: float = 1.0
-    params: GeneratorParams = field(default_factory=GeneratorParams)
 
     def __post_init__(self):
         if self.level not in RATIO_BANDS:
@@ -131,7 +127,6 @@ def generate(spec: ScenarioSpec, config: EpisodeConfig | None = None) -> Dataset
     the spec's scaled capacity range and ratio band. Deterministic per seed.
     """
     cfg = config if config is not None else EpisodeConfig(seed=spec.seed)
-    p = spec.params
     rng = np.random.default_rng(spec.seed)
 
     lo, hi = scaled_capacity_range(spec.capacity_bin, spec.scale_factor)
@@ -141,17 +136,17 @@ def generate(spec: ScenarioSpec, config: EpisodeConfig | None = None) -> Dataset
     n_orders = max(int(math.floor(n_drivers * target)), int(math.ceil(n_drivers * band_lo)))
 
     centers = [Location(rng.uniform(0, cfg.fence_width_m), rng.uniform(0, cfg.fence_height_m))
-               for _ in range(p.n_hotspots)]
-    weights = rng.dirichlet(np.ones(p.n_hotspots))
+               for _ in range(_N_HOTSPOTS)]
+    weights = rng.dirichlet(np.ones(_N_HOTSPOTS))
 
     def hotspot_point() -> Location:
-        k = int(rng.choice(p.n_hotspots, p=weights))
-        x = float(np.clip(centers[k].x + rng.normal(0, p.hotspot_spread_m), 0, cfg.fence_width_m))
-        y = float(np.clip(centers[k].y + rng.normal(0, p.hotspot_spread_m), 0, cfg.fence_height_m))
+        k = int(rng.choice(_N_HOTSPOTS, p=weights))
+        x = float(np.clip(centers[k].x + rng.normal(0, _HOTSPOT_SPREAD_M), 0, cfg.fence_width_m))
+        y = float(np.clip(centers[k].y + rng.normal(0, _HOTSPOT_SPREAD_M), 0, cfg.fence_height_m))
         return Location(x, y)
 
     drivers = []
-    n_initial = int(round(n_drivers * p.initial_supply_frac))
+    n_initial = int(round(n_drivers * _INITIAL_SUPPLY_FRAC))
     for i in range(n_drivers):
         if i < n_initial:
             t = 0.0
@@ -161,25 +156,25 @@ def generate(spec: ScenarioSpec, config: EpisodeConfig | None = None) -> Dataset
             id=i,
             position=hotspot_point(),
             appear_time=t,
-            offline_hazard=float(rng.uniform(0, p.offline_hazard_max)),
+            offline_hazard=float(rng.uniform(0, _OFFLINE_HAZARD_MAX)),
         ))
 
-    order_times = _order_arrival_times(rng, n_orders, cfg.episode_length_s, p.arrival_wave_amp)
+    order_times = _order_arrival_times(rng, n_orders, cfg.episode_length_s, _ARRIVAL_WAVE_AMP)
     orders = []
     for j in range(n_orders):
         origin = hotspot_point()
         dest = hotspot_point()
         trip_m = math.hypot(origin.x - dest.x, origin.y - dest.y)
-        trip_s = max(p.trip_min_s, trip_m / p.trip_speed_mps + float(rng.normal(0, 30.0)))
-        price = max(1.0, round(p.price_base + p.price_per_km * trip_m / 1000.0
-                               + float(rng.normal(0, p.price_noise)), 2))
+        trip_s = max(_TRIP_MIN_S, trip_m / _TRIP_SPEED_MPS + float(rng.normal(0, 30.0)))
+        price = max(1.0, round(_PRICE_BASE + _PRICE_PER_KM * trip_m / 1000.0
+                               + float(rng.normal(0, _PRICE_NOISE)), 2))
         orders.append(Order(
             id=j,
             origin=origin,
             destination=dest,
             price=price,
             appear_time=float(order_times[j]),
-            patience=p.patience_min_s + float(rng.exponential(p.patience_mean_s - p.patience_min_s)),
+            patience=_PATIENCE_MIN_S + float(rng.exponential(_PATIENCE_MEAN_S - _PATIENCE_MIN_S)),
             trip_duration=trip_s,
         ))
 
@@ -215,23 +210,9 @@ def classify(ds: Dataset) -> tuple[str, int] | None:
 
 # -- persistence: one JSON record per line, header first ----------------------
 
-def _config_dict(cfg: EpisodeConfig) -> dict:
-    return {
-        "episode_length_s": cfg.episode_length_s,
-        "batch_window_s": cfg.batch_window_s,
-        "fence_width_m": cfg.fence_width_m,
-        "fence_height_m": cfg.fence_height_m,
-        "cell_size_m": cfg.cell_size_m,
-        "match_radius_m": cfg.match_radius_m,
-        "pickup_speed_mps": cfg.pickup_speed_mps,
-        "reward_mode": cfg.reward_mode,
-        "seed": cfg.seed,
-    }
-
-
 def save(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"kind": "config", "config": _config_dict(ds.config),
+        header = {"kind": "config", "config": asdict(ds.config),
                   "scale_factor": ds.scale_factor, "meta": ds.meta}
         fh.write(json.dumps(header) + "\n")
         for ev in ds.events():

@@ -12,7 +12,9 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -46,21 +48,25 @@ class TrainConfig:
     entropy_coef: float = 0.01
     grad_clip: float = 0.5
     normalize_adv: bool = True
-    critic_target: str = "current"  # or "next_state" (literal published form)
     update_sample_size: int | None = None  # cap on replays per epoch
     force_exhaustive: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.lam <= 1.0:
             raise ValueError("gamma and lam must be in [0, 1]")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be positive")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.update_sample_size is not None and self.update_sample_size < 1:
+            raise ValueError(f"update_sample_size must be >= 1, got {self.update_sample_size}")
         for name in ("epochs", "minibatch_size", "episodes_per_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.critic_target not in ("current", "next_state"):
-            raise ValueError("critic_target must be 'current' or 'next_state'")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -193,9 +199,6 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
         rewards = [s.reward for s in traj.steps]
         values = [s.value for s in traj.steps]
         adv, targets = compute_gae(rewards, values, cfg.gamma, cfg.lam)
-        if cfg.critic_target == "next_state":
-            next_vals = np.array(values[1:] + [0.0])
-            targets = adv + next_vals
         for rec, a, tgt in zip(traj.steps, adv, targets):
             flat.append((rec, float(a), float(tgt)))
     if not flat:
@@ -241,9 +244,9 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 critic_terms.append((v - tgt) * (v - tgt))
 
             inv = 1.0 / len(batch)
-            policy_loss = -sum_terms(policy_terms) * inv
-            entropy_mean = sum_terms(entropy_terms) * inv
-            critic_loss = sum_terms(critic_terms) * inv
+            policy_loss = -reduce(add, policy_terms) * inv
+            entropy_mean = reduce(add, entropy_terms) * inv
+            critic_loss = reduce(add, critic_terms) * inv
             total = policy_loss + critic_loss - cfg.entropy_coef * entropy_mean
 
             if not np.isfinite(to_float(total)):
@@ -255,8 +258,6 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 })
             last = {"policy_loss": to_float(policy_loss),
                     "critic_loss": to_float(critic_loss)}
-            if not isinstance(total, Tensor):
-                continue  # nothing differentiable in this batch
             total.backward()
 
             leaves = tensors.tensors
@@ -278,13 +279,6 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
         "entropy": float(np.mean(entropies)) if entropies else 0.0,
         "approx_kl": -float(np.mean(log_ratios)) if log_ratios else 0.0,
     }
-
-
-def sum_terms(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
 
 
 @dataclass
@@ -336,14 +330,11 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         opt_state = {n: t for n, t in loaded.tensors.items() if n.startswith("opt_")}
         params = D2snParams(loaded.config,
                             {n: t for n, t in loaded.tensors.items() if not n.startswith("opt_")})
-        for n in params.actor_names():
-            if "opt_m_" + n in opt_state:
-                actor_opt.m[n] = opt_state["opt_m_" + n]
-                actor_opt.v[n] = opt_state["opt_v_" + n]
-        for n in params.critic_names():
-            if "opt_m_" + n in opt_state:
-                critic_opt.m[n] = opt_state["opt_m_" + n]
-                critic_opt.v[n] = opt_state["opt_v_" + n]
+        for opt in (actor_opt, critic_opt):
+            for n in opt.m:
+                if "opt_m_" + n in opt_state:
+                    opt.m[n] = opt_state["opt_m_" + n]
+                    opt.v[n] = opt_state["opt_v_" + n]
         actor_opt.t = int(extra.get("actor_opt_t", 0))
         critic_opt.t = int(extra.get("critic_opt_t", 0))
         start_iter = int(extra.get("iteration", 0))
@@ -392,12 +383,10 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         if out_dir:
             t_checkpoint = time.monotonic()
             snap = D2snParams(params.config, dict(params.tensors))
-            for n in params.actor_names():
-                snap.tensors["opt_m_" + n] = actor_opt.m[n]
-                snap.tensors["opt_v_" + n] = actor_opt.v[n]
-            for n in params.critic_names():
-                snap.tensors["opt_m_" + n] = critic_opt.m[n]
-                snap.tensors["opt_v_" + n] = critic_opt.v[n]
+            for opt in (actor_opt, critic_opt):
+                for n in opt.m:
+                    snap.tensors["opt_m_" + n] = opt.m[n]
+                    snap.tensors["opt_v_" + n] = opt.v[n]
             save_checkpoint(snap, latest, extra={
                 "iteration": it + 1,
                 "episodes": episode_counter,

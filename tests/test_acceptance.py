@@ -15,8 +15,8 @@ import pytest
 from crafted import build_crafted_dataset, dp_optimal_reward
 from micod.autodiff import to_float
 from micod.core import EpisodeConfig
-from micod.d2sn import (D2snConfig, as_tensors, critic_value, decision_head, encode,
-                        aggregate, hold_head, init_params, log_prob, sample_action)
+from micod.d2sn import (ActionRecord, D2snConfig, as_tensors, critic_value, init_params,
+                        log_prob, sample_action)
 from micod.env import DispatchEnv, OuterState, global_info_dim
 from micod.harness import (D2snPolicy, EvalPlan, PolicySpec, cmd_eval, make_policy,
                            run_episode)
@@ -91,15 +91,18 @@ def test_c03_factorized_log_prob():
         assert abs(to_float(total) - action.logp) < 1e-8
         assert abs(to_float(total) - sum(action.step_logps)) < 1e-8
 
-    # sub-state outcome space: hold plus every remaining pair, mass 1
+    # sub-state outcome space: hold plus every remaining pair, mass 1, each
+    # outcome's probability read from the replay of its first sub-step
+    def first_step_prob(s, steps):
+        action = ActionRecord(steps=steps, selected=[c for _, c in steps if c is not None],
+                              held=[], exhaustive=False, logp=0.0)
+        return math.exp(to_float(log_prob(s, action, params)[1][0]))
+
     for trial in range(50):
         n = int(rng.integers(1, 8))
         s = _random_state(rng, n, cfg.g_dim)
-        R = encode(s.feature_matrix, params)
-        G = aggregate(s.feature_matrix, params)
-        hold = hold_head(G, s.global_info, params)
-        dec = decision_head(R, G, s.global_info, params)
-        mass = hold[1] + hold[0] * dec.sum()
+        mass = first_step_prob(s, [(1, None)])
+        mass += sum(first_step_prob(s, [(0, c), (1, None)]) for c in range(n))
         assert abs(mass - 1.0) < 1e-9
     _report("C03 factorized-log-prob",
             "100 replays at 1e-8, 50 sub-state enumerations at 1e-9")

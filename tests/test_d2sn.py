@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from micod.autodiff import Tensor, to_float
-from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, aggregate, as_tensors,
-                        critic_value, decision_head, encode, hold_head, init_params,
-                        load_checkpoint, log_prob, sample_action, save_checkpoint)
+from micod.autodiff import Tensor, log_softmax_vec, to_float
+from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_logits,
+                        _hold_log_probs, aggregate, as_tensors, critic_value, encode,
+                        init_params, load_checkpoint, log_prob, sample_action,
+                        save_checkpoint)
 from micod.env import IllegalActionError, OuterState
 
 CFG = D2snConfig(d_model=16, n_heads=2, d_feat=12, g_dim=8)
@@ -88,69 +89,80 @@ def test_aggregate_sensitive_to_appended_selection(params):
 
 
 # -- heads -------------------------------------------------------------------------
+#
+# The heads run inside the walker; these tests read them through replay:
+# ``step_prob`` is the probability of one recorded sub-step.
+
+
+def step_prob(state, steps, params, k=0):
+    action = ActionRecord(steps=steps, selected=[c for _, c in steps if c is not None],
+                          held=[], exhaustive=False, logp=0.0)
+    _, per_step = log_prob(state, action, params)
+    return math.exp(to_float(per_step[k]))
+
 
 def test_hold_head_uniform_at_init(params):
     s = make_state([(1, 1)])
-    G = aggregate(s.feature_matrix, params)
-    p = hold_head(G, s.global_info, params)
-    assert p == pytest.approx((0.5, 0.5), abs=1e-12)
+    p_continue = step_prob(s, [(0, 0), (1, None)], params)  # the only row: decision 1
+    p_hold = step_prob(s, [(1, None)], params)
+    assert (p_continue, p_hold) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_hold_head_normalized_for_random_params():
     p_rand = init_params(CFG, seed=7, zero_heads=False)
     s = make_state([(1, 1), (2, 2)], seed=13)
     G = aggregate(s.feature_matrix, p_rand)
-    p = hold_head(G, s.global_info, p_rand)
+    p = np.exp(_hold_log_probs(G, s.global_info, p_rand.tensors))
     assert 0.0 < p[0] < 1.0 and 0.0 < p[1] < 1.0
     assert p[0] + p[1] == pytest.approx(1.0, abs=1e-9)
+    assert step_prob(s, [(1, None)], p_rand) == pytest.approx(p[1], abs=1e-12)
 
 
 def test_hold_head_saturates_with_large_logit(params):
     boosted = params.copy()
     boosted.tensors["hold_b2"] = np.array([[0.0, 50.0]])
     s = make_state([(1, 1)])
-    G = aggregate(s.feature_matrix, boosted)
-    p = hold_head(G, s.global_info, boosted)
-    assert p[1] > 1.0 - 1e-9
+    assert step_prob(s, [(1, None)], boosted) > 1.0 - 1e-9
 
 
 def test_decision_head_single_row(params):
     s = make_state([(1, 1)])
-    R = encode(s.feature_matrix, params)
-    G = aggregate(s.feature_matrix, params)
-    probs = decision_head(R, G, s.global_info, params)
-    assert probs == pytest.approx([1.0])
+    a = sample_action(s, params, np.random.default_rng(0), force_exhaustive=True)
+    assert a.steps == [(0, 0), (0, None)]
+    assert a.logp == pytest.approx(0.0)  # the decision head puts all mass on the row
 
 
 def test_decision_head_masked_row_gets_exact_zero():
+    # picking row 0 masks row 1 (same order): the next decision spreads its
+    # whole mass over the rows left, and replaying row 1 is rejected
     p_rand = init_params(CFG, seed=3, zero_heads=False)
-    s = make_state([(1, 1), (2, 2), (3, 3)], seed=17)
-    R = encode(s.feature_matrix, p_rand)
-    G = aggregate(s.feature_matrix, p_rand)
-    mask = np.array([True, False, True])
-    probs = decision_head(R, G, s.global_info, p_rand, mask=mask)
-    assert probs[1] == 0.0
-    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    s = make_state([(1, 1), (1, 2), (2, 3)], seed=17)
+    mass = (step_prob(s, [(0, 0), (1, None)], p_rand, k=1)
+            + step_prob(s, [(0, 0), (0, 2), (1, None)], p_rand, k=1))
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(IllegalActionError):
+        step_prob(s, [(0, 0), (0, 1), (1, None)], p_rand)
 
 
 def test_decision_head_all_masked_errors(params):
     s = make_state([(1, 1)])
-    R = encode(s.feature_matrix, params)
-    G = aggregate(s.feature_matrix, params)
     with pytest.raises(IllegalActionError):
-        decision_head(R, G, s.global_info, params, mask=np.array([False]))
+        step_prob(s, [(0, 0), (0, 0)], params)  # the pool is empty after row 0
 
 
 def test_decision_head_permutation_covariance():
     p_rand = init_params(CFG, seed=5, zero_heads=False)
     s = make_state([(1, 1), (2, 2), (3, 3), (4, 4)], seed=19)
-    R = encode(s.feature_matrix, p_rand)
     G = aggregate(s.feature_matrix, p_rand)
-    probs = decision_head(R, G, s.global_info, p_rand)
+
+    def probs(feats):
+        R = encode(feats, p_rand)
+        logits = _decision_logits(R, G, s.global_info, p_rand.tensors, CFG.d_model)
+        return np.exp(log_softmax_vec(logits))
+
     perm = np.array([3, 1, 0, 2])
-    R_perm = encode(s.feature_matrix[perm], p_rand)
-    probs_perm = decision_head(R_perm, G, s.global_info, p_rand)
-    assert np.allclose(probs_perm, probs[perm], atol=1e-12)
+    assert np.allclose(probs(s.feature_matrix[perm]), probs(s.feature_matrix)[perm],
+                       atol=1e-12)
 
 
 # -- sampling and replay ---------------------------------------------------------------
@@ -208,11 +220,8 @@ def test_immediate_hold_logp_is_hold_probability(params):
 def test_single_substep_outcomes_sum_to_one():
     p_rand = init_params(CFG, seed=21, zero_heads=False)
     s = make_state([(1, 1), (2, 2), (3, 3)], seed=23)
-    R = encode(s.feature_matrix, p_rand)
-    G = aggregate(s.feature_matrix, p_rand)
-    hold = hold_head(G, s.global_info, p_rand)
-    dec = decision_head(R, G, s.global_info, p_rand)
-    total = hold[1] + hold[0] * dec.sum()
+    total = step_prob(s, [(1, None)], p_rand)
+    total += sum(step_prob(s, [(0, c), (1, None)], p_rand) for c in range(3))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 

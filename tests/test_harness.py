@@ -518,6 +518,77 @@ def test_cli_train_bad_config_key(tmp_path):
     assert rc == EXIT_DATA
 
 
+def _train_with(tmp_path, settings):
+    """Run ``micod train`` on a small dataset with extra config lines."""
+    small_dataset(str(tmp_path / "d.jsonl"))
+    config = tmp_path / "train.cfg"
+    lines = [f"datasets = {tmp_path / 'd.jsonl'}", "iterations = 1", "episodes_per_iter = 1"]
+    config.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+    out_dir = tmp_path / "run"
+    return main(["train", "--config", str(config), "--out", str(out_dir)]), config, out_dir
+
+
+@pytest.mark.parametrize("key,value", [
+    ("update_sample_size", "-1"), ("update_sample_size", "0"),
+    ("clip_eps", "nan"), ("grad_clip", "nan"), ("gamma", "nan"),
+    ("lr", "nan"), ("lr", "-0.001"), ("entropy_coef", "inf"),
+    ("force_exhaustive", "ture"), ("normalize_adv", "2"), ("reward_mode", "XYZ"),
+])
+def test_cli_train_bad_setting_is_data_error(tmp_path, capsys, key, value):
+    rc, config, out_dir = _train_with(tmp_path, {key: value})
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(config) in err and key in err
+    assert not (out_dir / "curves.csv").exists()
+
+
+def test_cli_train_removed_critic_target_is_unknown_key(tmp_path, capsys):
+    rc, config, _ = _train_with(tmp_path, {"critic_target": "current"})
+    assert rc == EXIT_DATA
+    assert "critic_target" in capsys.readouterr().err
+
+
+def test_cli_train_accepts_every_train_config_field(tmp_path):
+    import dataclasses
+
+    from micod.trainer import TrainConfig
+
+    settings = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    settings.update(iterations=1, episodes_per_iter=1, epochs=1, update_sample_size=2,
+                    normalize_adv="YES", force_exhaustive="False")
+    assert set(settings) == {f.name for f in dataclasses.fields(TrainConfig)}
+    rc, _, out_dir = _train_with(tmp_path, settings)
+    assert rc == EXIT_OK
+    assert (out_dir / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("net", [{"g_dim": 7}, {"d_feat": 5}])
+@pytest.mark.parametrize("after_km", [False, True])
+def test_cli_eval_checkpoint_that_does_not_fit_is_data_error(tmp_path, capsys, monkeypatch,
+                                                             net, after_km):
+    import micod.harness
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    cfg = D2snConfig(**{"g_dim": global_info_dim(ds.config), **net})
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(init_params(cfg, seed=0), ckpt)
+
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before the checkpoint was checked")
+    monkeypatch.setattr(micod.harness, "run_episode", no_episodes)
+    policies = ["--policy", "km"] if after_km else []
+    out = tmp_path / "o.csv"
+    rc = main(["eval", *policies, "--policy", f"d2sn({ckpt})", "--dataset", ds_path,
+               "--seeds", "1", "--out", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and ds_path in err
+    assert not out.exists()
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 1\n# note\nb = two words\n")
