@@ -1,16 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps a float64 ndarray and records the operation graph;
-``backward()`` accumulates gradients by iterative topological traversal (the
-graphs here get thousands of nodes deep, so no recursion).
+``backward()`` accumulates gradients into the leaves by iterative topological
+traversal (the graphs here get thousands of nodes deep, so no recursion) and
+consumes the graph as it goes.
 
 The module-level helpers (``exp``, ``concat``, ``log_softmax_vec``, ...)
 dispatch on argument type: given plain ndarrays they run straight numpy, given
 Tensors they build graph nodes. Network code written against these helpers
 therefore runs identically in a fast no-gradient mode and a differentiable
 mode. The network's two loops, the GRU scan and multi-head attention, are
-fused ops of this kind (``gru_scan``, ``attention``) that record one node per
-call.
+fused ops of this kind over the row sets of many sub-steps at once
+(``masked_gru_scan``, ``masked_attention``) that record one node per call;
+``gru_scan`` and ``attention`` are their one-set, no-gradient forms for
+sampling.
 """
 
 from __future__ import annotations
@@ -67,8 +70,12 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                # the pass consumes the graph: an inner node's gradient and the
+                # values its backward kept are freed once passed to its parents
+                node.grad, node._backward, node._parents = None, None, ()
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -88,6 +95,11 @@ class Tensor:
 
     def detach(self) -> np.ndarray:
         return self.data
+
+    def reshape(self, shape):
+        out = Tensor(self.data.reshape(shape), (self,))
+        out._backward = lambda g: self._accum(g.reshape(self.data.shape))
+        return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -272,19 +284,227 @@ def log_softmax_vec(x):
     return z - log(asum(exp(z)))
 
 
-# -- fused network ops --------------------------------------------------------------
+# -- batched ops over row sets ------------------------------------------------------
 #
-# Each op below runs its inner loop on plain arrays and, when any input is a
-# Tensor, records one graph node whose hand-written backward replays the
-# gradient arithmetic of the equivalent elementwise graph expression for
-# expression: the same operand order, the same per-step accumulation into
-# shared weights, and parents listed so that ``Tensor.backward`` reaches the
-# input projections in the same order. Gradients are therefore bit-identical
-# to building the graph op by op, at one node per call.
+# Replay stacks many sub-steps' row sets into one array: S sets of
+# ``lengths[s] >= 1`` rows each, concatenated in order, ``(sum(lengths), d)``.
+# Each op below runs on plain arrays and, when any input is a Tensor, records
+# one graph node with a hand-written backward, so the graph size does not
+# depend on S or on the lengths. The backwards of ``masked_attention`` and
+# ``masked_gru_scan`` replay the gradient arithmetic of the equivalent
+# elementwise graph expression for expression: the same operand order, the
+# same per-step accumulation into shared weights, and parents listed so that
+# ``Tensor.backward`` reaches the input projections in the same order. Their
+# gradients are therefore bit-identical to building that graph op by op.
 
 
 def _any_tensor(args) -> bool:
     return any(isinstance(a, Tensor) for a in args)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """First row of each set."""
+    return np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+
+
+def where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``, broadcast elementwise."""
+    if not _any_tensor((a, b)):
+        return np.where(cond, a, b)
+    a_t, b_t = _wrap(a), _wrap(b)
+
+    def back(g):
+        a_t._accum(_unbroadcast(np.where(cond, g, 0.0), a_t.data.shape))
+        b_t._accum(_unbroadcast(np.where(cond, 0.0, g), b_t.data.shape))
+
+    return Tensor(np.where(cond, a_t.data, b_t.data), (a_t, b_t), back)
+
+
+def segment_sum(x, segments: np.ndarray, n: int):
+    """``out[j]`` is the sum of the entries of the vector ``x`` whose segment
+    id ``segments[i]`` is ``j``, added in index order; ``out`` has ``n``
+    entries."""
+    out = np.bincount(segments, weights=detach(x), minlength=n)
+    if not isinstance(x, Tensor):
+        return out
+    return Tensor(out, (x,), lambda g: x._accum(g[segments]))
+
+
+def log_softmax(x, lengths: np.ndarray):
+    """Log-softmax within each set of the vector ``x``: set ``s`` is the next
+    ``lengths[s] >= 1`` entries. The max shift is detached, so gradients
+    stay exact."""
+    x_ = detach(x)
+    starts = _starts(lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    z = x_ - np.maximum.reduceat(x_, starts)[owner]
+    e = np.exp(z)
+    den = np.add.reduceat(e, starts)
+    out = z - np.log(den)[owner]
+    if not isinstance(x, Tensor):
+        return out
+    p = e / den[owner]
+    return Tensor(out, (x,),
+                  lambda g: x._accum(g - p * np.add.reduceat(g, starts)[owner]))
+
+
+def _length_classes(lengths: np.ndarray):
+    """The sets, longest first, in groups whose lengths lie within a factor
+    of two: (set indices, padded width) per group. Padding a group to its
+    longest set wastes at most half of each row and three quarters of each
+    score matrix."""
+    order = np.argsort(-lengths, kind="stable")
+    groups, first = [], 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or 2 * lengths[order[i]] <= lengths[order[first]]:
+            groups.append((order[first:i], int(lengths[order[first]])))
+            first = i
+    return groups
+
+
+def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
+    """Multi-head scaled dot-product attention inside each row set: a row
+    attends to the rows of its own set. ``q``/``k``/``v`` are the stacked
+    ``(sum(lengths), d)`` projections and head ``j`` reads columns ``j * d /
+    n_heads`` up to the next head's. Returns the heads side by side, before
+    any output projection. Sets of similar length are padded into one block
+    and the padded keys masked."""
+    args = (q, k, v)
+    q_, k_, v_ = (detach(a) for a in args)
+    d = q_.shape[1]
+    dh = d // n_heads
+    scale = math.sqrt(dh)
+    starts = _starts(lengths)
+    track = _any_tensor(args)
+    out = np.empty_like(q_)
+    blocks = []
+    for sets, width in _length_classes(lengths):
+        valid = np.arange(width) < lengths[sets][:, None]
+        # padded positions read the set's first row; they are masked as keys
+        # and dropped as queries
+        src = starts[sets][:, None] + np.where(valid, np.arange(width), 0)
+        q3, k3, v3 = q_[src], k_[src], v_[src]
+        neg = np.where(valid, 0.0, -np.inf)[:, None, :]
+        heads, saved = [], []
+        for j in range(n_heads):
+            cols = (Ellipsis, slice(j * dh, (j + 1) * dh))
+            s = (q3[cols] @ np.swapaxes(k3[cols], 1, 2)) / scale + neg
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            den = e.sum(axis=-1, keepdims=True)
+            att = e / den
+            heads.append(att @ v3[cols])
+            if track:
+                saved.append((cols, e, den, att))
+        merged = heads[0] if n_heads == 1 else np.concatenate(heads, axis=2)
+        out[src[valid]] = merged[valid]
+        if track:
+            blocks.append((src, valid, q3, k3, v3, saved))
+    if not track:
+        return out
+    q_t, k_t, v_t = (_wrap(a) for a in args)
+
+    def back(g):
+        g_q, g_k, g_v = (np.zeros_like(q_) for _ in range(3))
+        for src, valid, q3, k3, v3, saved in blocks:
+            g3 = np.zeros(q3.shape)
+            g3[valid] += g[src[valid]]
+            g_q3, g_k3, g_v3 = (np.zeros(q3.shape) for _ in range(3))
+            for cols, e, den, att in saved:
+                g_out = g3[cols]
+                g_att = g_out @ np.swapaxes(v3[cols], 1, 2)
+                g_v3[cols] += np.swapaxes(att, 1, 2) @ g_out
+                g_den = _unbroadcast(-g_att * e / (den ** 2), den.shape)
+                g_s = ((g_att / den + g_den) * e) / scale
+                g_q3[cols] += g_s @ k3[cols]
+                g_k3[cols] += np.swapaxes(np.swapaxes(q3[cols], 1, 2) @ g_s, 1, 2)
+            np.add.at(g_q, src, g_q3)
+            np.add.at(g_k, src, g_k3)
+            np.add.at(g_v, src, g_v3)
+        q_t._accum(g_q)
+        k_t._accum(g_k)
+        v_t._accum(g_v)
+
+    return Tensor(out, (q_t, k_t, v_t), back)
+
+
+def masked_gru_scan(xz, xr, xh, uz, ur, uh, lengths: np.ndarray):
+    """Gated recurrent scans over each row set in order, from a zero hidden
+    state; returns the ``(S, d)`` final states. ``xz``/``xr``/``xh`` are the
+    stacked ``(sum(lengths), d)`` input projections of the update gate, the
+    reset gate and the candidate; ``uz``/``ur``/``uh`` are the recurrent
+    weights. The scans run longest first, so that step i updates a prefix of
+    the hidden states, and read their rows in time-major order."""
+    args = (xz, xr, xh, uz, ur, uh)
+    xz_, xr_, xh_, uz_, ur_, uh_ = (detach(a) for a in args)
+    n_seq, d = len(lengths), xz_.shape[1]
+    order = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max())
+    running = np.arange(steps)[:, None] < lengths[order]
+    # active[i]: the sequences still running at step i, a prefix of ``order``;
+    # time-major row i of step t is row ``first[t] + i`` of ``rows``
+    active = running.sum(axis=1).tolist() + [0]
+    first = np.concatenate([[0], np.cumsum(active[:steps])]).tolist()
+    rows = (_starts(lengths)[order] + np.arange(steps)[:, None])[running]
+    xz_t, xr_t, xh_t = xz_[rows], xr_[rows], xh_[rows]
+    track = _any_tensor(args)
+    final = np.empty((n_seq, d))
+    h = np.zeros((active[0], d))
+    saved = []
+    for i in range(steps):
+        n, done, at = active[i], active[i + 1], slice(first[i], first[i + 1])
+        hp = h[:n]
+        z = sigmoid(xz_t[at] + hp @ uz_)
+        r = sigmoid(xr_t[at] + hp @ ur_)
+        rh = r * hp
+        cand = np.tanh(xh_t[at] + rh @ uh_)
+        omz = 1.0 - z
+        if track:
+            saved.append((hp, z, r, rh, cand, omz))
+        h = omz * hp + z * cand
+        final[done:n] = h[done:n]
+    out = np.empty_like(final)
+    out[order] = final
+    if not track:
+        return out
+    xz_t_, xr_t_, xh_t_, uz_t, ur_t, uh_t = (_wrap(a) for a in args)
+
+    def back(g_out):
+        g_final = g_out[order]
+        g_x = np.zeros((3, len(rows), d))  # z, r, h; time-major
+        g = g_final[:active[steps - 1]]
+        for i in range(steps - 1, -1, -1):
+            n, at = active[i], slice(first[i], first[i + 1])
+            hp, z, r, rh, cand, omz = saved[i]
+            g_z = g * cand + -(g * hp)
+            g_ah = (g * z) * (1.0 - cand ** 2)
+            g_rh = g_ah @ uh_.T
+            uh_t._accum(rh.T @ g_ah)
+            g_ar = (g_rh * hp) * r * (1.0 - r)
+            ur_t._accum(hp.T @ g_ar)
+            g_az = g_z * z * (1.0 - z)
+            uz_t._accum(hp.T @ g_az)
+            g_x[0, at] += g_az
+            g_x[1, at] += g_ar
+            g_x[2, at] += g_ah
+            g = ((g * omz + g_az @ uz_.T) + g_rh * r) + g_ar @ ur_.T
+            if i:  # the sequences that ended at step i - 1 join
+                g = np.concatenate([g, g_final[n:active[i - 1]]])
+        g_in = np.empty_like(g_x)
+        g_in[:, rows] = g_x
+        xz_t_._accum(g_in[0])
+        xh_t_._accum(g_in[2])
+        xr_t_._accum(g_in[1])
+
+    # backward's depth-first walk visits the last parent first, so xr's
+    # projection is reached first, as in the per-row graph
+    return Tensor(out, (uz_t, ur_t, uh_t, xz_t_, xh_t_, xr_t_), back)
+
+
+# -- unbatched network ops (sampling) --------------------------------------------
+#
+# Sampling walks one sub-state at a time on plain arrays. These are the same
+# GRU scan and attention for one unpadded block, kept separate so that the
+# sampled actions, and the eval output they drive, stay the same bit for bit.
 
 
 def gru_scan(xz, xr, xh, uz, ur, uh):
@@ -292,48 +512,14 @@ def gru_scan(xz, xr, xh, uz, ur, uh):
     the final ``(1, d)`` state. ``xz``/``xr``/``xh`` hold one row per step:
     the input projections of the update gate, the reset gate and the
     candidate; ``uz``/``ur``/``uh`` are the recurrent weights."""
-    args = (xz, xr, xh, uz, ur, uh)
-    xz_, xr_, xh_, uz_, ur_, uh_ = (detach(a) for a in args)
-    n, d = xz_.shape
+    n, d = xz.shape
     h = np.zeros((1, d))
-    track = _any_tensor(args)
-    saved = []
     for i in range(n):
-        z = sigmoid(xz_[i:i + 1] + h @ uz_)
-        r = sigmoid(xr_[i:i + 1] + h @ ur_)
-        rh = r * h
-        cand = np.tanh(xh_[i:i + 1] + rh @ uh_)
-        omz = 1.0 - z
-        if track:
-            saved.append((h, z, r, rh, cand, omz))
-        h = omz * h + z * cand
-    if not track:
-        return h
-    xz_t, xr_t, xh_t, uz_t, ur_t, uh_t = (_wrap(a) for a in args)
-
-    def back(g):
-        g_xz, g_xr, g_xh = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
-        for i in range(n - 1, -1, -1):
-            h, z, r, rh, cand, omz = saved[i]
-            g_z = g * cand + -(g * h)
-            g_ah = (g * z) * (1.0 - cand ** 2)
-            g_rh = g_ah @ uh_.T
-            uh_t._accum(rh.T @ g_ah)
-            g_ar = (g_rh * h) * r * (1.0 - r)
-            ur_t._accum(h.T @ g_ar)
-            g_az = g_z * z * (1.0 - z)
-            uz_t._accum(h.T @ g_az)
-            g_xz[i:i + 1] += g_az
-            g_xr[i:i + 1] += g_ar
-            g_xh[i:i + 1] += g_ah
-            g = ((g * omz + g_az @ uz_.T) + g_rh * r) + g_ar @ ur_.T
-        xz_t._accum(g_xz)
-        xh_t._accum(g_xh)
-        xr_t._accum(g_xr)
-
-    # backward's depth-first walk visits the last parent first, so xr's
-    # projection is reached first, as in the per-row graph
-    return Tensor(h, (uz_t, ur_t, uh_t, xz_t, xh_t, xr_t), back)
+        z = sigmoid(xz[i:i + 1] + h @ uz)
+        r = sigmoid(xr[i:i + 1] + h @ ur)
+        cand = np.tanh(xh[i:i + 1] + (r * h) @ uh)
+        h = (1.0 - z) * h + z * cand
+    return h
 
 
 def attention(q, k, v, n_heads: int):
@@ -341,37 +527,12 @@ def attention(q, k, v, n_heads: int):
     returns the heads side by side, ``(n, d)``, before any output
     projection. ``q``/``k``/``v`` are the ``(n, d)`` projections; head ``j``
     reads columns ``j * d / n_heads`` up to the next head's."""
-    q_, k_, v_ = detach(q), detach(k), detach(v)
-    dh = q_.shape[1] // n_heads
+    dh = q.shape[1] // n_heads
     scale = math.sqrt(dh)
-    track = _any_tensor((q, k, v))
-    heads, saved = [], []
+    heads = []
     for j in range(n_heads):
         cols = (slice(None), slice(j * dh, (j + 1) * dh))
-        s = (q_[cols] @ k_[cols].T) / scale
+        s = (q[cols] @ k[cols].T) / scale
         e = np.exp(s - s.max(axis=-1, keepdims=True))
-        den = e.sum(axis=-1, keepdims=True)
-        att = e / den
-        heads.append(att @ v_[cols])
-        if track:
-            saved.append((cols, e, den, att))
-    merged = heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)
-    if not track:
-        return merged
-    q_t, k_t, v_t = _wrap(q), _wrap(k), _wrap(v)
-
-    def back(g):
-        g_q, g_k, g_v = np.zeros_like(q_), np.zeros_like(k_), np.zeros_like(v_)
-        for cols, e, den, att in saved:
-            g_out = g[cols]
-            g_att = g_out @ v_[cols].T
-            g_v[cols] += att.T @ g_out
-            g_den = _unbroadcast(-g_att * e / (den ** 2), den.shape)
-            g_s = ((g_att / den + g_den) * e) / scale
-            g_q[cols] += g_s @ k_[cols]
-            g_k[cols] += (q_[cols].T @ g_s).T
-        q_t._accum(g_q)
-        k_t._accum(g_k)
-        v_t._accum(g_v)
-
-    return Tensor(merged, (q_t, k_t, v_t), back)
+        heads.append((e / e.sum(axis=-1, keepdims=True)) @ v[cols])
+    return heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)

@@ -13,7 +13,8 @@ import os
 import sys
 
 from .d2sn import CheckpointError
-from .harness import DataError, EvalPlan, UsageError, cmd_eval, cmd_generate, cmd_report, parse_policy_id
+from .harness import (DataError, EvalPlan, UsageError, check_network_fits, cmd_eval, cmd_generate,
+                      cmd_report, parse_policy_id)
 from .scenario import CAPACITY_BINS, RATIO_BANDS, DatasetParseError
 
 EXIT_OK = 0
@@ -140,9 +141,16 @@ def _run_train(args) -> int:
         raise DataError(f"{args.config}: {exc}") from exc
     datasets = [load(p) for p in paths]
 
-    from .d2sn import D2snConfig, init_params
+    from .d2sn import D2snConfig, init_params, load_checkpoint
     from .env import global_info_dim
     net = D2snConfig(g_dim=global_info_dim(datasets[0].config))
+    # One network reads every dataset: the one the first dataset shapes, or
+    # the one a resumed run continues.
+    named = list(zip(paths, datasets))
+    check_network_fits(net, f"the network shaped by dataset {paths[0]}", named)
+    latest = os.path.join(args.out, "latest.ckpt")
+    if args.resume and os.path.exists(latest):
+        check_network_fits(load_checkpoint(latest)[0].config, f"checkpoint {latest}", named)
     params = init_params(net, seed=cfg.seed)
     print(f"model parameters: {params.param_count}")
 

@@ -7,16 +7,20 @@ pairs, in order) into one fixed-size context vector. Two heads read that
 context: a binary hold head that can end the batch early, and a cross-attention
 decision head scoring each remaining pair. A complete batch action is the
 sequence of sampled sub-actions; its probability is the product of the
-per-sub-step head probabilities. One walker runs the heads for both sampling
-(:func:`sample_action`) and teacher-forced replay (:func:`log_prob`).
+per-sub-step head probabilities.
+
+:func:`sample_action` walks one sub-state at a time on plain arrays.
+:func:`replay` scores recorded actions: it stacks the row sets of every
+sub-step of many transitions and runs the network once over them, written
+against :mod:`micod.autodiff` dual-mode helpers. Pass
+:class:`D2snParams` holding ndarrays for values only, or the Tensor copy
+:func:`as_tensors` makes to get exact reverse-mode gradients through the same
+arithmetic; the graph it builds has the same nodes however many sub-steps and
+rows it holds.
 
 The critic mirrors the decoder trunk with its own parameters but sees only the
-outer state (pool plus global context), never sub-states or actions.
-
-All forward code is written against :mod:`micod.autodiff` dual-mode helpers:
-pass :class:`D2snParams` holding ndarrays for fast sampling, or the Tensor
-copy :func:`as_tensors` makes to get exact reverse-mode gradients through the
-same arithmetic.
+outer state (pool plus global context), never sub-states or actions;
+:func:`critic_values` runs it over many states at once.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from operator import add
 
 import numpy as np
 
-from .autodiff import (Tensor, asum, attention, concat, detach, exp, gru_scan,
-                       log_softmax_vec, tanh, to_float)
+from .autodiff import (Tensor, asum, attention, concat, exp, gru_scan, log_softmax,
+                       log_softmax_vec, masked_attention, masked_gru_scan, segment_sum, tanh,
+                       where)
 from .env import N_PAIR_FEATURES, IllegalActionError, OuterState, mask_after_selection
 
 
@@ -138,7 +143,7 @@ def as_tensors(params: D2snParams) -> D2snParams:
     return D2snParams(params.config, {k: Tensor(v) for k, v in params.tensors.items()})
 
 
-# -- forward pieces -------------------------------------------------------------
+# -- sampling: one sub-state at a time, plain arrays --------------------------------
 
 
 def _mha(x, P: dict, prefix: str, n_heads: int):
@@ -199,9 +204,6 @@ def _decision_logits(R, G, global_info: np.ndarray, P: dict, d_model: int):
     return (k @ q.T)[:, 0] / math.sqrt(d_model)
 
 
-# -- action sampling and replay ----------------------------------------------------
-
-
 @dataclass
 class ActionRecord:
     """A complete batch action: ordered sub-actions plus bookkeeping needed to
@@ -215,152 +217,268 @@ class ActionRecord:
     step_logps: list[float] = field(default_factory=list)
 
 
-class _Walk:
-    """The inner-layer sub-state machine: walks one batch from the full pool,
-    narrowing the available-row mask with :func:`mask_after_selection` after
-    each selection until a hold or an empty pool ends it. Sampling and
-    teacher-forced replay share this engine, so both paths run the exact same
-    arithmetic and enforce the same sub-action rules."""
-
-    def __init__(self, state: OuterState, params: D2snParams,
-                 rng: np.random.Generator | None = None,
-                 action: ActionRecord | None = None,
-                 force_exhaustive: bool = False,
-                 want_entropy: bool = False):
-        self.state = state
-        self.params = params
-        self.P = params.tensors
-        self.rng = rng
-        self.action = action
-        self.force_exhaustive = force_exhaustive if action is None else action.exhaustive
-        self.want_entropy = want_entropy
-        if state.global_info.shape[0] != params.config.g_dim:
-            raise ValueError(f"global info dim {state.global_info.shape[0]} != "
-                             f"configured {params.config.g_dim}")
-
-    def run(self):
-        feats = self.state.feature_matrix
-        n0 = self.state.n_pairs
-        mask = np.ones(n0, dtype=bool)
-        selected: list[int] = []
-        steps: list[tuple[int, int | None]] = []
-        step_logps = []
-        entropy = 0.0
-        held: list[int] = []
-        k = 0
-        while True:
-            remaining = np.flatnonzero(mask)
-            enc_in = feats[remaining] if len(remaining) else feats[:0]
-            R = encode(enc_in, self.params)
-            sub_rows = np.concatenate([feats, feats[selected]], axis=0) if n0 else feats[:0]
-            G = aggregate(sub_rows, self.params)
-
-            lp_hold = _hold_log_probs(G, self.state.global_info, self.P)
-            h, lp_h = self._pick_h(lp_hold, k)
-            if self.want_entropy and not self.force_exhaustive:
-                p = exp(lp_hold)
-                entropy = entropy + -asum(p * lp_hold)
-
-            if h == 1:
-                steps.append((1, None))
-                step_logps.append(lp_h)
-                held = [int(i) for i in remaining]
-                break
-            if len(remaining) == 0:
-                if self.action is not None and self.action.steps[k][1] is not None:
-                    raise IllegalActionError(f"row {self.action.steps[k][1]} not available "
-                                             f"at replay step {k}")
-                steps.append((0, None))
-                step_logps.append(lp_h)
-                break
-
-            logits = _decision_logits(R, G, self.state.global_info, self.P,
-                                      self.params.config.d_model)
-            lp_vec = log_softmax_vec(logits)
-            c_local, lp_c = self._pick_c(lp_vec, remaining, k)
-            if self.want_entropy:
-                p = exp(lp_vec)
-                entropy = entropy + -asum(p * lp_vec)
-            c_pool = int(remaining[c_local])
-            steps.append((0, c_pool))
-            step_logps.append(lp_h + lp_c)
-            selected.append(c_pool)
-            mask = mask_after_selection(self.state, mask, c_pool)
-            k += 1
-
-        return steps, selected, held, step_logps, reduce(add, step_logps), entropy
-
-    def _pick_h(self, lp_hold, k: int):
-        if self.force_exhaustive:
-            return 0, 0.0
-        if self.action is not None:
-            if k >= len(self.action.steps):
-                raise IllegalActionError("replay ran past the recorded sub-actions")
-            h, c_pool = self.action.steps[k]
-            if h == 1 and c_pool is not None:
-                raise IllegalActionError("recorded hold step must not carry a selection")
-        else:
-            p_hold = float(np.exp(detach(lp_hold)[1]))
-            h = 1 if self.rng.random() < p_hold else 0
-        return h, lp_hold[h]
-
-    def _pick_c(self, lp_vec, remaining: np.ndarray, k: int):
-        if self.action is not None:
-            c_pool = self.action.steps[k][1]
-            if c_pool is None:
-                raise IllegalActionError("recorded continue step carries no selection")
-            pos = int(np.searchsorted(remaining, c_pool))
-            if pos >= len(remaining) or remaining[pos] != c_pool:
-                raise IllegalActionError(f"row {c_pool} not available at replay step {k}")
-        else:
-            probs = np.exp(detach(lp_vec))
-            cum = np.cumsum(probs)
-            pos = int(np.searchsorted(cum, self.rng.random(), side="right"))
-            pos = min(pos, len(remaining) - 1)
-        return pos, lp_vec[pos]
+def _check_state(state: OuterState, config: D2snConfig) -> None:
+    if state.global_info.shape[0] != config.g_dim:
+        raise ValueError(f"global info dim {state.global_info.shape[0]} != "
+                         f"configured {config.g_dim}")
 
 
 def sample_action(state: OuterState, params: D2snParams, rng: np.random.Generator,
                   force_exhaustive: bool = False) -> ActionRecord:
     """Roll the auto-regressive sub-step loop forward, sampling each head.
-    ``force_exhaustive`` pins every hold decision to continue (the
-    hold-disabled ablation); selection stops only when the pool drains."""
-    steps, selected, held, step_logps, total, _ = _Walk(
-        state, params, rng=rng, force_exhaustive=force_exhaustive).run()
+    The walk starts from the full pool and narrows the available-row mask
+    with :func:`mask_after_selection` after each selection, until a hold or
+    an empty pool ends it. ``force_exhaustive`` pins every hold decision to
+    continue (the hold-disabled ablation); selection stops only when the pool
+    drains."""
+    _check_state(state, params.config)
+    P = params.tensors
+    feats = state.feature_matrix
+    n0 = state.n_pairs
+    mask = np.ones(n0, dtype=bool)
+    selected: list[int] = []
+    steps: list[tuple[int, int | None]] = []
+    step_logps = []
+    held: list[int] = []
+    while True:
+        remaining = np.flatnonzero(mask)
+        R = encode(feats[remaining] if len(remaining) else feats[:0], params)
+        G = aggregate(np.concatenate([feats, feats[selected]], axis=0) if n0 else feats[:0],
+                      params)
+        lp_hold = _hold_log_probs(G, state.global_info, P)
+        if force_exhaustive:
+            h, lp_h = 0, 0.0
+        else:
+            h = 1 if rng.random() < float(np.exp(lp_hold[1])) else 0
+            lp_h = lp_hold[h]
+        if h == 1:
+            steps.append((1, None))
+            step_logps.append(lp_h)
+            held = [int(i) for i in remaining]
+            break
+        if len(remaining) == 0:
+            steps.append((0, None))
+            step_logps.append(lp_h)
+            break
+        lp_vec = log_softmax_vec(_decision_logits(R, G, state.global_info, P,
+                                                  params.config.d_model))
+        cum = np.cumsum(np.exp(lp_vec))
+        pos = min(int(np.searchsorted(cum, rng.random(), side="right")), len(remaining) - 1)
+        c_pool = int(remaining[pos])
+        steps.append((0, c_pool))
+        step_logps.append(lp_h + lp_vec[pos])
+        selected.append(c_pool)
+        mask = mask_after_selection(state, mask, c_pool)
     return ActionRecord(
         steps=steps, selected=selected, held=held, exhaustive=force_exhaustive,
-        logp=to_float(total), step_logps=[to_float(x) for x in step_logps],
+        logp=float(reduce(add, step_logps)), step_logps=[float(x) for x in step_logps],
     )
+
+
+# -- replay: many sub-steps as one program ---------------------------------------------
+
+# Upper bound on the attention score cells of one replay or critic program:
+# the sum over its row sets of rows x rows (one score matrix per head, before
+# padding sets of similar length together, which at most quadruples it).
+# Longer inputs run in consecutive chunks that stay within it; one row set
+# larger than the bound is a chunk of its own.
+CHUNK_CELLS = 1 << 20
+
+
+def _chunks(sizes: list[int]):
+    """Consecutive (start, stop) runs of the row-set ``sizes`` whose summed
+    squared sizes stay within ``CHUNK_CELLS``."""
+    start, cells = 0, 0
+    for i, n in enumerate(sizes):
+        cells += max(n, 1) ** 2
+        if i > start and cells > CHUNK_CELLS:
+            yield start, i
+            start, cells = i, max(n, 1) ** 2
+    yield start, len(sizes)
+
+
+def _embed_rows(row_sets: list[np.ndarray], P: dict, w: str, b: str, null: str):
+    """Embed S row sets stacked in order: returns the embedded rows and each
+    set's length. An empty set reads as one row, the learned ``null`` row."""
+    lengths = np.array([max(len(r), 1) for r in row_sets])
+    empty = lengths > np.array([len(r) for r in row_sets])
+    if empty.all():
+        return P[null] + np.zeros((len(row_sets), 1)), lengths
+    blank = np.zeros((1, P[w].shape[0]))
+    x = np.concatenate([r if len(r) else blank for r in row_sets]) @ P[w] + P[b]
+    if empty.any():
+        first = np.zeros(int(lengths.sum()), dtype=bool)
+        first[(np.cumsum(lengths) - lengths)[empty]] = True
+        x = where(first[:, None], P[null], x)
+    return x, lengths
+
+
+def _masked_mha(x, P: dict, prefix: str, n_heads: int, lengths: np.ndarray):
+    q = x @ P[prefix + "wq"] + P[prefix + "bq"]
+    k = x @ P[prefix + "wk"] + P[prefix + "bk"]
+    v = x @ P[prefix + "wv"] + P[prefix + "bv"]
+    return masked_attention(q, k, v, n_heads, lengths) @ P[prefix + "wo"] + P[prefix + "bo"]
+
+
+def _masked_gru(x, P: dict, prefix: str, lengths: np.ndarray):
+    xz = x @ P[prefix + "wz"] + P[prefix + "bz"]
+    xr = x @ P[prefix + "wr"] + P[prefix + "br"]
+    xh = x @ P[prefix + "wh"] + P[prefix + "bh"]
+    return masked_gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"],
+                           lengths)
+
+
+def _teacher_forced(state: OuterState, action: ActionRecord, config: D2snConfig):
+    """Walk a recorded action over the pool, checking each sub-action as
+    sampling would allow it. Returns its sub-steps, each ``(h, remaining
+    rows, position of the selected row among them)`` with ``None`` for the
+    last two on the hold or end step, and the rows the aggregator reads: the
+    pool, then the selected rows in order."""
+    _check_state(state, config)
+    feats = state.feature_matrix
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("non-finite pool features")
+    recorded = action.steps
+    mask = np.ones(state.n_pairs, dtype=bool)
+    steps, selected = [], []
+    while True:
+        k = len(steps)
+        if k >= len(recorded):
+            raise IllegalActionError("replay ran past the recorded sub-actions")
+        h, c = recorded[k]
+        if action.exhaustive:
+            h = 0
+        elif h == 1 and c is not None:
+            raise IllegalActionError("recorded hold step must not carry a selection")
+        remaining = np.flatnonzero(mask)
+        if h == 1 or len(remaining) == 0:
+            if h == 0 and c is not None:
+                raise IllegalActionError(f"row {c} not available at replay step {k}")
+            steps.append((h, None, None))
+            break
+        if c is None:
+            raise IllegalActionError("recorded continue step carries no selection")
+        mask = mask_after_selection(state, mask, c)  # raises unless row c is available
+        steps.append((0, remaining, int(np.searchsorted(remaining, c))))
+        selected.append(c)
+    if len(steps) != len(recorded):
+        raise IllegalActionError("replay terminated at a different sub-step count")
+    return steps, np.concatenate([feats, feats[selected]], axis=0)
+
+
+def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
+                       params: D2snParams):
+    """Log-probability and entropy of S sub-steps, as two length-S vectors.
+    Sub-step s reads the aggregator rows ``agg_rows[s]`` and its global info
+    row; its hold head counts where ``holds[s]`` (not an exhaustive action),
+    scoring the recorded ``h[s]``. The sub-steps ``dec`` select a row: the
+    decision head scores position ``pos[j]`` among the rows still available,
+    ``enc_rows[j]``. Only sub-steps that a head reads are aggregated, so a
+    parameter no head reaches gets no gradient, as in a per-sub-step graph."""
+    P = params.tensors
+    cfg = params.config
+    n = len(agg_rows)
+    lp, ent = np.zeros(n), np.zeros(n)
+    read = holds.copy()
+    read[dec] = True
+    used = np.flatnonzero(read)
+    if not len(used):
+        return lp, ent
+    x, lengths = _embed_rows([agg_rows[s] for s in used], P, "emb_w", "emb_b", "act_null")
+    G = _masked_gru(_masked_mha(x, P, "dec_", cfg.n_heads, lengths), P, "gru_", lengths)
+    if holds.any():
+        hid = tanh(concat([G, global_info[used]], axis=1) @ P["hold_w1"] + P["hold_b1"])
+        logits = (hid @ P["hold_w2"] + P["hold_b2"]).reshape((-1,))
+        lp_hold = log_softmax(logits, np.full(len(used), 2)).reshape((len(used), 2))
+        on = holds[used].astype(np.float64)
+        lp = segment_sum(lp_hold[np.arange(len(used)), h[used]] * on, used, n)
+        ent = segment_sum(-asum(exp(lp_hold) * lp_hold, axis=1) * on, used, n)
+    if len(dec):
+        x, lengths = _embed_rows(enc_rows, P, "emb_w", "emb_b", "act_null")
+        x = x + _masked_mha(x, P, "enc_", cfg.n_heads, lengths)
+        R = x + tanh(x @ P["enc_w1"] + P["enc_b1"]) @ P["enc_w2"] + P["enc_b2"]
+        q = (concat([G[np.searchsorted(used, dec)], global_info[dec]], axis=1) @ P["cq_w"]
+             + P["cq_b"])
+        owner = np.repeat(np.arange(len(dec)), lengths)
+        logits = asum((R @ P["ck_w"] + P["ck_b"]) * q[owner], axis=1) / math.sqrt(cfg.d_model)
+        lp_dec = log_softmax(logits, lengths)
+        lp = lp + segment_sum(lp_dec[np.cumsum(lengths) - lengths + pos], dec, n)
+        ent = ent + segment_sum(-(exp(lp_dec) * lp_dec), dec[owner], n)
+    return lp, ent
+
+
+def replay(transitions, params: D2snParams):
+    """Teacher-forced replay of recorded actions: every sub-step of every
+    ``(state, action)`` pair in one program (in consecutive chunks past
+    ``CHUNK_CELLS``). Returns ``(logp, step_logp, entropy)``: each
+    action's log-probability, the log-probabilities of all sub-steps in
+    order, and each action's summed head entropy. With Tensor parameters
+    (:func:`as_tensors`) they are differentiable."""
+    seg, agg_rows, infos, h, holds = [], [], [], [], []
+    dec, enc_rows, pos = [], [], []
+    for t, (state, action) in enumerate(transitions):
+        steps, rows = _teacher_forced(state, action, params.config)
+        for k, (h_k, remaining, pos_k) in enumerate(steps):
+            if remaining is not None:
+                dec.append(len(seg))
+                enc_rows.append(state.feature_matrix[remaining])
+                pos.append(pos_k)
+            seg.append(t)
+            agg_rows.append(rows[:state.n_pairs + k])
+            infos.append(state.global_info)
+            h.append(h_k)
+            holds.append(not action.exhaustive)
+    seg, dec, h, pos = (np.array(a, dtype=np.int64) for a in (seg, dec, h, pos))
+    infos, holds = np.array(infos), np.array(holds, dtype=bool)
+    parts = []
+    for lo, hi in _chunks([len(r) for r in agg_rows]):
+        j0, j1 = np.searchsorted(dec, (lo, hi))
+        parts.append(_substep_log_probs(agg_rows[lo:hi], infos[lo:hi], h[lo:hi],
+                                        holds[lo:hi], dec[j0:j1] - lo, enc_rows[j0:j1],
+                                        pos[j0:j1], params))
+    if len(parts) == 1:
+        (step_lp, step_ent), = parts
+    else:
+        step_lp = concat([p[0] for p in parts])
+        step_ent = concat([p[1] for p in parts])
+    n = len(transitions)
+    return segment_sum(step_lp, seg, n), step_lp, segment_sum(step_ent, seg, n)
 
 
 def log_prob(state: OuterState, action: ActionRecord, params: D2snParams,
              want_entropy: bool = False):
-    """Teacher-forced replay of a recorded action. With Tensor parameters
-    (:func:`as_tensors`) the returned values are differentiable. Returns
-    (total, per-step list) or (total, per-step, entropy) when ``want_entropy``."""
-    steps, _, _, step_logps, total, entropy = _Walk(
-        state, params, action=action, want_entropy=want_entropy).run()
-    if len(steps) != len(action.steps):
-        raise IllegalActionError("replay terminated at a different sub-step count")
+    """Teacher-forced replay of one recorded action, the one-transition case
+    of :func:`replay`. Returns (total, per-step list) or (total, per-step,
+    entropy) when ``want_entropy``."""
+    logp, step_lp, entropy = replay([(state, action)], params)
+    per_step = [step_lp[k] for k in range(len(action.steps))]
     if want_entropy:
-        return total, step_logps, entropy
-    return total, step_logps
+        return logp[0], per_step, entropy[0]
+    return logp[0], per_step
+
+
+def critic_values(states: list[OuterState], params: D2snParams):
+    """State values of many outer states from the critic trunk in one
+    program (in consecutive chunks past ``CHUNK_CELLS``); the critic sees
+    only each state's pool and global info."""
+    P = params.tensors
+    parts = []
+    for lo, hi in _chunks([s.n_pairs for s in states]):
+        chunk = states[lo:hi]
+        x, lengths = _embed_rows([s.feature_matrix for s in chunk], P, "v_emb_w", "v_emb_b",
+                                 "v_null")
+        G = _masked_gru(_masked_mha(x, P, "v_", params.config.n_heads, lengths), P, "v_gru_",
+                        lengths)
+        inp = concat([G, np.array([s.global_info for s in chunk])], axis=1)
+        hid = tanh(inp @ P["v_w1"] + P["v_b1"])
+        parts.append((hid @ P["v_w2"] + P["v_b2"])[:, 0])
+    return parts[0] if len(parts) == 1 else concat(parts)
 
 
 def critic_value(state: OuterState, params: D2snParams):
-    """State value from the critic trunk; sees only (pool, global info)."""
-    P = params.tensors
-    feats = state.feature_matrix
-    if feats.shape[0] == 0:
-        x = P["v_null"]
-    else:
-        x = feats @ P["v_emb_w"] + P["v_emb_b"]
-    x = _mha(x, P, "v_", params.config.n_heads)
-    G = _gru_scan(x, P, "v_gru_")
-    inp = concat([G, state.global_info.reshape(1, -1)], axis=1)
-    hid = tanh(inp @ P["v_w1"] + P["v_b1"])
-    out = hid @ P["v_w2"] + P["v_b2"]
-    return out[0, 0]
+    """State value of one outer state, the one-state case of
+    :func:`critic_values`."""
+    return critic_values([state], params)[0]
 
 
 # -- checkpoint container -----------------------------------------------------------

@@ -11,8 +11,9 @@ expression over the pool rows. The inner layer walks sub-states, tracked as a
 boolean mask over pool rows: each sub-action either ends the batch (hold,
 deferring every remaining row) or selects one row, and
 :func:`mask_after_selection` then removes every row sharing its order or
-driver. :class:`micod.d2sn._Walk` is the walker that samples and replays
-these sub-actions; :meth:`DispatchEnv.finalize_batch` executes the result.
+driver. :func:`micod.d2sn.sample_action` samples these sub-actions and
+:func:`micod.d2sn.replay` replays recorded ones;
+:meth:`DispatchEnv.finalize_batch` executes the result.
 
 Reward per completed batch:
   TDI mode: sum of assigned order prices.

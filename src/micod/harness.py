@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matching, scenario
-from .d2sn import D2snParams, load_checkpoint, sample_action
+from .d2sn import D2snConfig, D2snParams, load_checkpoint, sample_action
 from .env import N_PAIR_FEATURES, DispatchEnv, OuterState, global_info_dim
 from .scenario import Dataset, ScenarioSpec
 from .simulator import MetricsReport
@@ -173,6 +173,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def check_network_fits(net: D2snConfig, source: str,
+                       datasets: list[tuple[str, Dataset]]) -> None:
+    """Raise :class:`DataError` naming ``source`` and the dataset unless a
+    network of shape ``net`` reads every dataset's global info and pair
+    features."""
+    for path, ds in datasets:
+        g_dim = global_info_dim(ds.config)
+        if (net.g_dim, net.d_feat) != (g_dim, N_PAIR_FEATURES):
+            raise DataError(f"{source} does not fit dataset {path}: network g_dim={net.g_dim}, "
+                            f"d_feat={net.d_feat}; dataset needs g_dim={g_dim}, "
+                            f"d_feat={N_PAIR_FEATURES}")
+
+
 def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> list[dict]:
     """Run every (policy, dataset, seed) episode; per-run rows first, then a
     mean and std aggregate block per policy and taxonomy cell."""
@@ -191,13 +204,8 @@ def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> li
     for spec, factory in policies:
         policy = factory()
         if isinstance(policy, D2snPolicy):
-            net = policy.params.config
-            for path, ds, _, _ in datasets:
-                g_dim = global_info_dim(ds.config)
-                if (net.g_dim, net.d_feat) != (g_dim, N_PAIR_FEATURES):
-                    raise DataError(f"checkpoint {spec.checkpoint} does not fit dataset {path}: "
-                                    f"network g_dim={net.g_dim}, d_feat={net.d_feat}; dataset "
-                                    f"needs g_dim={g_dim}, d_feat={N_PAIR_FEATURES}")
+            check_network_fits(policy.params.config, f"checkpoint {spec.checkpoint}",
+                               [(path, ds) for path, ds, _, _ in datasets])
 
     rows = []
     for spec, factory in policies:

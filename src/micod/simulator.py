@@ -9,7 +9,9 @@ Drivers and orders are entity tables: one id-sorted numpy structured array
 per kind, one row per entity of the episode, built once. A ``state`` column
 walks each row from pending to available (to serving, for drivers) to gone;
 every lifecycle step is a masked column write, and no row is ever inserted,
-deleted or re-sorted. Idle drivers and open orders are the available rows,
+deleted or re-sorted. A step whose mask is known to be empty is skipped:
+arrivals are read from an arrival-time index, and completions wait for the
+earliest trip end. Idle drivers and open orders are the available rows,
 read in place by :meth:`SimState.eligible_pairs` and the environment's pool
 build. Order states (open / serving / completed / cancelled) and driver states
 (idle / serving / departed) always partition the appeared counts.
@@ -136,6 +138,12 @@ class SimState:
         self.ledger = MetricsLedger()
         self.rng = np.random.default_rng(self.config.seed if seed is None else seed)
         self.terminated = False
+        # each table's rows in arrival order, their arrival times and how many
+        # have appeared; a row appears once, when the clock first passes it
+        self._arrivals = [(t, np.argsort(t["appear"], kind="stable"), np.sort(t["appear"]))
+                          for t in (drivers, orders)]
+        self._appeared = [0, 0]
+        self._next_done = math.inf  # the earliest trip completion, inf when none is due
         self._spawn_until(self.clock + self.config.batch_window_s)
 
     # -- views -------------------------------------------------------------------
@@ -164,11 +172,12 @@ class SimState:
 
     def _spawn_until(self, limit: float) -> None:
         """Pending rows appearing before ``limit`` become available."""
-        for table in (self.drivers, self.orders):
-            state = table["state"]
-            state[(state == PENDING) & (table["appear"] < limit)] = AVAILABLE
-        self.ledger.appeared_drivers = int(np.count_nonzero(self.drivers["state"] != PENDING))
-        self.ledger.appeared_orders = int(np.count_nonzero(self.orders["state"] != PENDING))
+        for k, (table, order, times) in enumerate(self._arrivals):
+            stop = int(np.searchsorted(times, limit))
+            if stop > self._appeared[k]:
+                table["state"][order[self._appeared[k]:stop]] = AVAILABLE
+                self._appeared[k] = stop
+        self.ledger.appeared_drivers, self.ledger.appeared_orders = self._appeared
 
     def _pickups(self, d_rows: np.ndarray, o_rows: np.ndarray) -> list[float]:
         """Pickup distance of each pair of rows, as :func:`~micod.core.distance`."""
@@ -208,7 +217,9 @@ class SimState:
             batch_pickup = reduce(add, pickups, 0.0)
             batch_income = reduce(add, orders["price"][o_rows].tolist(), 0.0)
             pickup_s = np.array(pickups) / self.config.pickup_speed_mps
-            drivers["done"][d_rows] = self.clock + pickup_s + orders["trip"][o_rows]
+            done = self.clock + pickup_s + orders["trip"][o_rows]
+            drivers["done"][d_rows] = done
+            self._next_done = min(self._next_done, float(done.min()))
             drivers["x"][d_rows] = orders["dx"][o_rows]
             drivers["y"][d_rows] = orders["dy"][o_rows]
             drivers["cell"][d_rows] = orders["dcell"][o_rows]
@@ -224,21 +235,23 @@ class SimState:
             held = np.asarray(held_pairs, dtype=np.int64).reshape(-1, 2)
             d_rows, d_ok = _lookup(drivers, held[:, 0])
             o_rows, o_ok = _lookup(orders, held[:, 1])
-            bad = np.flatnonzero(~(d_ok & o_ok))
-            if len(bad):  # the first unavailable pair, driver checked first
-                d_id, o_id = held[bad[0]].tolist()
-                raise ConstraintViolationError(f"held driver {d_id} is not idle" if not d_ok[bad[0]]
+            if not (d_ok.all() and o_ok.all()):  # the first unavailable pair, driver first
+                bad = int(np.flatnonzero(~(d_ok & o_ok))[0])
+                d_id, o_id = held[bad].tolist()
+                raise ConstraintViolationError(f"held driver {d_id} is not idle" if not d_ok[bad]
                                                else f"held order {o_id} is not open")
             ledger.held_pairs += len(held)
             ledger.held_pickup_sum = reduce(add, self._pickups(d_rows, o_rows),
                                             ledger.held_pickup_sum)
             ledger.held_price_sum = reduce(add, orders["price"][o_rows].tolist(),
                                            ledger.held_price_sum)
-            ledger.held_distinct_driver_ids.update(held[:, 0].tolist())
-            ledger.held_distinct_order_ids.update(held[:, 1].tolist())
+            d_ids, o_ids = zip(*held.tolist())
+            ledger.held_distinct_driver_ids.update(d_ids)
+            ledger.held_distinct_order_ids.update(o_ids)
 
         self.clock += self.config.batch_window_s
-        self._release((drivers["state"] == SERVING) & (drivers["done"] <= self.clock))
+        if self._next_done <= self.clock:
+            self._release((drivers["state"] == SERVING) & (drivers["done"] <= self.clock))
         self._spawn_until(self.clock + self.config.batch_window_s)
         self._cancel((orders["state"] == AVAILABLE)
                      & (self.clock - orders["appear"] >= orders["patience"]))
@@ -253,16 +266,21 @@ class SimState:
         """Complete the ``due`` trips; each driver idles at its destination from the trip's end."""
         rows = np.flatnonzero(due)
         drivers = self.drivers
-        drivers["since"][rows] = drivers["done"][rows]
-        drivers["state"][rows] = AVAILABLE
-        self.ledger.completed_orders += len(rows)
-        self.ledger.served_order_ids.update(drivers["order"][rows].tolist())
-        self.ledger.served_driver_ids.update(drivers["id"][rows].tolist())
+        if len(rows):
+            drivers["since"][rows] = drivers["done"][rows]
+            drivers["state"][rows] = AVAILABLE
+            self.ledger.completed_orders += len(rows)
+            self.ledger.served_order_ids.update(drivers["order"][rows].tolist())
+            self.ledger.served_driver_ids.update(drivers["id"][rows].tolist())
+        serving = drivers["state"] == SERVING
+        self._next_done = float(drivers["done"][serving].min()) if serving.any() else math.inf
 
     def _cancel(self, expired: np.ndarray) -> None:
         """Cancel the open orders ``expired`` marks."""
-        self.orders["state"][expired] = GONE
-        self.ledger.cancelled_orders += int(np.count_nonzero(expired))
+        n = int(np.count_nonzero(expired))
+        if n:
+            self.orders["state"][expired] = GONE
+            self.ledger.cancelled_orders += n
 
     def finish(self) -> None:
         """Terminate the episode: in-flight trips complete (service is

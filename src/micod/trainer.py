@@ -13,15 +13,15 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import add
 
 import numpy as np
 
-from .autodiff import Tensor, to_float
-from .d2sn import (ActionRecord, D2snConfig, D2snParams, as_tensors, critic_value,
-                   init_params, load_checkpoint, log_prob, sample_action,
-                   save_checkpoint)
+from .autodiff import asum, detach, exp, to_float, where
+from .d2sn import (ActionRecord, D2snConfig, D2snParams, as_tensors, critic_values,
+                   init_params, load_checkpoint, replay, sample_action, save_checkpoint)
+# One-state forms of the network, also reachable here: tools that wrap the
+# package's layers by name (perfbench/tracing.py) look them up on this module.
+from .d2sn import critic_value, log_prob  # noqa: F401
 from .env import DispatchEnv, OuterState
 
 
@@ -95,7 +95,8 @@ def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
                      force_exhaustive: bool = False) -> list[Trajectory]:
     """Roll episodes under the current parameters. Inner sub-transitions carry
     no reward of their own; one record per batch stores the shared reward, the
-    sampled action and its total log-probability."""
+    sampled action and its total log-probability. The critic values every
+    batch of an episode in one call once the episode ends."""
     out: list[Trajectory] = []
     for _ in range(n_episodes):
         env_seed = int(rng.integers(0, 2**31 - 1))
@@ -103,17 +104,18 @@ def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
         env = env_factory(env_seed)
         ep_rng = np.random.default_rng(sample_seed)
         state = env.reset()
-        steps: list[StepRecord] = []
+        visited: list[tuple[OuterState, ActionRecord, float]] = []
         total = 0.0
         done = False
         while not done:
             action = sample_action(state, params, ep_rng, force_exhaustive=force_exhaustive)
-            value = to_float(critic_value(state, params))
             reward, nxt, done = env.finalize_batch(action.selected, action.held)
-            steps.append(StepRecord(state=state, action=action, reward=reward,
-                                    value=value, logp_old=action.logp))
+            visited.append((state, action, reward))
             total += reward
             state = nxt
+        values = critic_values([s for s, _, _ in visited], params).tolist()
+        steps = [StepRecord(state=s, action=a, reward=r, value=v, logp_old=a.logp)
+                 for (s, a, r), v in zip(visited, values)]
         out.append(Trajectory(steps=steps, episode_reward=total, metrics=env.metrics()))
     return out
 
@@ -137,19 +139,12 @@ def compute_gae(rewards, values, gamma: float, lam: float):
 
 
 def clipped_objective(ratio, advantage, eps: float):
-    """Pessimistic clipped surrogate for one transition (dual-mode)."""
+    """Pessimistic clipped surrogate per transition (dual-mode, elementwise):
+    ``ratio * advantage``, or the clipped ratio's constant ``clip(ratio) *
+    advantage`` where that is lower."""
     unclipped = ratio * advantage
-    lo, hi = 1.0 - eps, 1.0 + eps
-    r = to_float(ratio)
-    if r < lo:
-        clipped = lo * advantage
-    elif r > hi:
-        clipped = hi * advantage
-    else:
-        clipped = ratio * advantage
-    if to_float(unclipped) <= to_float(clipped):
-        return unclipped
-    return clipped
+    clipped = np.clip(detach(ratio), 1.0 - eps, 1.0 + eps) * advantage
+    return where(detach(unclipped) <= clipped, unclipped, clipped)
 
 
 class AdamState:
@@ -224,29 +219,23 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
         order = rng.permutation(len(pool))
         for start in range(0, len(pool), cfg.minibatch_size):
             batch = [pool[int(i)] for i in order[start:start + cfg.minibatch_size]]
+            recs = [rec for rec, _, _ in batch]
+            adv = np.array([a for _, a, _ in batch])
+            targets = np.array([tgt for _, _, tgt in batch])
             tensors = as_tensors(params)
 
-            policy_terms = []
-            entropy_terms = []
-            critic_terms = []
-            for rec, adv, tgt in batch:
-                lp, _, ent = log_prob(rec.state, rec.action, tensors, want_entropy=True)
-                if isinstance(lp, Tensor):
-                    ratio = (lp - rec.logp_old).exp()
-                else:
-                    ratio = math.exp(lp - rec.logp_old)
-                ratios.append(to_float(ratio))
-                log_ratios.append(to_float(lp) - rec.logp_old)
-                policy_terms.append(clipped_objective(ratio, adv, cfg.clip_eps))
-                entropy_terms.append(ent)
-                entropies.append(to_float(ent))
-                v = critic_value(rec.state, tensors)
-                critic_terms.append((v - tgt) * (v - tgt))
+            logp, _, ent = replay([(rec.state, rec.action) for rec in recs], tensors)
+            log_ratio = logp - np.array([rec.logp_old for rec in recs])
+            ratio = exp(log_ratio)
+            ratios.extend(detach(ratio).tolist())
+            log_ratios.extend(detach(log_ratio).tolist())
+            entropies.extend(detach(ent).tolist())
+            err = critic_values([rec.state for rec in recs], tensors) - targets
 
             inv = 1.0 / len(batch)
-            policy_loss = -reduce(add, policy_terms) * inv
-            entropy_mean = reduce(add, entropy_terms) * inv
-            critic_loss = reduce(add, critic_terms) * inv
+            policy_loss = -asum(clipped_objective(ratio, adv, cfg.clip_eps)) * inv
+            entropy_mean = asum(ent) * inv
+            critic_loss = asum(err * err) * inv
             total = policy_loss + critic_loss - cfg.entropy_coef * entropy_mean
 
             if not np.isfinite(to_float(total)):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from micod import d2sn
-from micod.autodiff import (Tensor, asum, attention, concat, detach, exp, gru_scan, log,
-                            log_softmax_vec, sigmoid, tanh)
+from micod.autodiff import (Tensor, _length_classes, asum, attention, concat, detach, exp,
+                            gru_scan, log, log_softmax, log_softmax_vec, masked_attention,
+                            masked_gru_scan, segment_sum, sigmoid, tanh, where)
 from micod.env import OuterState
 
 
@@ -130,8 +131,9 @@ def test_deep_chain_no_recursion_limit():
 #
 # ``reference_*`` below is the network code that once built these layers out
 # of elementwise graph nodes: one set of nodes per GRU row and per attention
-# head. ``gru_scan`` and ``attention`` must reproduce its values and every
-# input gradient bit for bit, in numpy mode and in Tensor mode.
+# head. The masked batched ops, on one unpadded block, must reproduce its
+# values and every input gradient bit for bit, in numpy mode and in Tensor
+# mode; so must ``gru_scan`` and ``attention``, their sampling forms.
 
 
 def reference_gru_scan(xz, xr, xh, uz, ur, uh):
@@ -172,6 +174,76 @@ def reference_attention(q, k, v, n_heads):
     return heads[0] if n_heads == 1 else concat(heads, axis=1)
 
 
+# The same loops over stacked row sets, as graphs of elementwise nodes: what
+# ``masked_attention`` and ``masked_gru_scan`` fuse into one node each.
+
+
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _swap(t):
+    """Swap the last two axes."""
+    return Tensor(np.swapaxes(t.data, -1, -2), (t,),
+                  lambda g: t._accum(np.swapaxes(g, -1, -2)))
+
+
+def _bmm(a, b):
+    """Batched matrix product."""
+    def back(g):
+        a._accum(g @ np.swapaxes(b.data, -1, -2))
+        b._accum(np.swapaxes(a.data, -1, -2) @ g)
+    return Tensor(a.data @ b.data, (a, b), back)
+
+
+def _starts(lengths):
+    return np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+
+
+def reference_masked_attention(q, k, v, n_heads, lengths):
+    d = detach(q).shape[1]
+    dh = d // n_heads
+    q, k, v = (_as_tensor(a) for a in (q, k, v))
+    starts = _starts(lengths)
+    pieces, placed = [], []
+    for sets, width in _length_classes(lengths):
+        valid = np.arange(width) < lengths[sets][:, None]
+        src = starts[sets][:, None] + np.where(valid, np.arange(width), 0)
+        q3, k3, v3 = q[src], k[src], v[src]
+        neg = np.where(valid, 0.0, -np.inf)[:, None, :]
+        heads = []
+        for h in range(n_heads):
+            sl = (slice(None), slice(None), slice(h * dh, (h + 1) * dh))
+            att = softmax_rows(_bmm(q3[sl], _swap(k3[sl])) / math.sqrt(dh) + neg)
+            heads.append(_bmm(att, v3[sl]))
+        merged = heads[0] if n_heads == 1 else concat(heads, axis=2)
+        pieces.append(merged[valid])
+        placed.append(src[valid])
+    out = concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
+    return out[np.argsort(np.concatenate(placed))]
+
+
+def reference_masked_gru_scan(xz, xr, xh, uz, ur, uh, lengths):
+    order = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max())
+    active = [int(np.count_nonzero(lengths > i)) for i in range(steps)] + [0]
+    starts = _starts(lengths)[order]
+    h = np.zeros((active[0], detach(xz).shape[1]))
+    ended = []
+    for i in range(steps):
+        n, done = active[i], active[i + 1]
+        rows = starts[:n] + i
+        hp = h[:n]
+        z = sigmoid(_as_tensor(xz)[rows] + hp @ uz)
+        r = sigmoid(_as_tensor(xr)[rows] + hp @ ur)
+        cand = tanh(_as_tensor(xh)[rows] + (r * hp) @ uh)
+        h = (1.0 - z) * hp + z * cand
+        if done < n:
+            ended.append(h[done:n])
+    final = concat(ended[::-1], axis=0) if len(ended) > 1 else ended[0]
+    return final[np.argsort(order)]
+
+
 GRU_INPUTS = ("xz", "xr", "xh", "uz", "ur", "uh")
 ATT_INPUTS = ("q", "k", "v")
 
@@ -206,12 +278,14 @@ def assert_bitwise(a, b):
 def test_gru_scan_bitwise_equals_row_loop(n, tensor_names):
     arrays = gru_arrays(n, seed=n)
     weight = np.random.default_rng(100 + n).normal(size=(1, 4))
-    val, grads = run_and_backprop(gru_scan, arrays, tensor_names, weight)
+    one_block = partial(masked_gru_scan, lengths=np.array([n]))
+    val, grads = run_and_backprop(one_block, arrays, tensor_names, weight)
     ref_val, ref_grads = run_and_backprop(reference_gru_scan, arrays, tensor_names, weight)
     assert_bitwise(val, ref_val)
     for name in tensor_names:
         assert_bitwise(grads[name], ref_grads[name])
-    assert_bitwise(gru_scan(**arrays), val)  # numpy mode
+    assert_bitwise(one_block(**arrays), val)  # numpy mode
+    assert_bitwise(gru_scan(**arrays), val)  # the sampling form
     assert_bitwise(reference_gru_scan(**arrays), val)
 
 
@@ -221,25 +295,100 @@ def test_gru_scan_bitwise_equals_row_loop(n, tensor_names):
 def test_attention_bitwise_equals_head_loop(n, n_heads, tensor_names):
     arrays = att_arrays(n, seed=10 * n + n_heads)
     weight = np.random.default_rng(n_heads).normal(size=(n, 8))
-    val, grads = run_and_backprop(partial(attention, n_heads=n_heads), arrays,
-                                  tensor_names, weight)
+    one_block = partial(masked_attention, n_heads=n_heads, lengths=np.array([n]))
+    val, grads = run_and_backprop(one_block, arrays, tensor_names, weight)
     ref_val, ref_grads = run_and_backprop(partial(reference_attention, n_heads=n_heads),
                                           arrays, tensor_names, weight)
     assert_bitwise(val, ref_val)
     for name in tensor_names:
         assert_bitwise(grads[name], ref_grads[name])
-    assert_bitwise(attention(**arrays, n_heads=n_heads), val)  # numpy mode
+    assert_bitwise(one_block(**arrays), val)  # numpy mode
+    assert_bitwise(attention(**arrays, n_heads=n_heads), val)  # the sampling form
     assert_bitwise(reference_attention(**arrays, n_heads=n_heads), val)
+
+
+# Stacked row sets of lengths LENGTHS: every check below crosses a sequence
+# that ends early, a one-row set and sets padded together for attention.
+LENGTHS = np.array([3, 7, 1, 5, 4, 2])
+ROWS = int(LENGTHS.sum())
+
+
+def _sets(lengths):
+    starts = _starts(lengths)
+    return [slice(a, a + n) for a, n in zip(starts, lengths)]
+
+
+@pytest.mark.parametrize("tensor_names", [GRU_INPUTS, ("xz", "uh")])
+def test_masked_gru_scan_bitwise_equals_graph_and_matches_each_sequence(tensor_names):
+    arrays = gru_arrays(ROWS, seed=5)
+    weight = np.random.default_rng(6).normal(size=(len(LENGTHS), 4))
+    fused = partial(masked_gru_scan, lengths=LENGTHS)
+    val, grads = run_and_backprop(fused, arrays, tensor_names, weight)
+    ref_val, ref_grads = run_and_backprop(partial(reference_masked_gru_scan, lengths=LENGTHS),
+                                          arrays, tensor_names, weight)
+    assert_bitwise(val, ref_val)
+    for name in tensor_names:
+        assert_bitwise(grads[name], ref_grads[name])
+    assert_bitwise(fused(**arrays), val)
+    # set by set against the unbatched row loop
+    sums = {}
+    for s, rows in enumerate(_sets(LENGTHS)):
+        block = {k: a[rows] if k in GRU_INPUTS[:3] else a for k, a in arrays.items()}
+        one_val, one_grads = run_and_backprop(reference_gru_scan, block, tensor_names,
+                                              weight[s:s + 1])
+        np.testing.assert_allclose(val[s:s + 1], one_val, rtol=1e-12, atol=1e-15)
+        for name in tensor_names:
+            if name in GRU_INPUTS[:3]:
+                np.testing.assert_allclose(grads[name][rows], one_grads[name],
+                                           rtol=1e-12, atol=1e-15)
+            else:
+                sums[name] = sums.get(name, 0.0) + one_grads[name]
+    for name, total in sums.items():
+        np.testing.assert_allclose(grads[name], total, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_masked_attention_bitwise_equals_graph_and_matches_each_set(n_heads):
+    arrays = att_arrays(ROWS, seed=7)
+    weight = np.random.default_rng(8).normal(size=(ROWS, 8))
+    fused = partial(masked_attention, n_heads=n_heads, lengths=LENGTHS)
+    val, grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
+    ref_val, ref_grads = run_and_backprop(partial(reference_masked_attention, n_heads=n_heads,
+                                                  lengths=LENGTHS),
+                                          arrays, ATT_INPUTS, weight)
+    assert_bitwise(val, ref_val)
+    for name in ATT_INPUTS:
+        assert_bitwise(grads[name], ref_grads[name])
+    assert_bitwise(fused(**arrays), val)
+    for rows in _sets(LENGTHS):
+        block = {k: a[rows] for k, a in arrays.items()}
+        one_val, one_grads = run_and_backprop(partial(reference_attention, n_heads=n_heads),
+                                              block, ATT_INPUTS, weight[rows])
+        np.testing.assert_allclose(val[rows], one_val, rtol=1e-12, atol=1e-15)
+        for name in ATT_INPUTS:
+            np.testing.assert_allclose(grads[name][rows], one_grads[name],
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_length_classes_pad_within_a_factor_of_two():
+    lengths = np.array([1, 9, 4, 5, 72, 36, 37, 2, 1])
+    classes = _length_classes(lengths)
+    assert sorted(np.concatenate([sets for sets, _ in classes]).tolist()) == list(range(9))
+    for sets, width in classes:
+        assert width == lengths[sets].max() and 2 * lengths[sets].min() > width
+    assert [w for _, w in classes] == [72, 36, 9, 4, 2, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_gru_scan_finite_difference_every_input(n):
-    arrays = gru_arrays(n, seed=20 + n)
-    weight = np.random.default_rng(n).normal(size=(1, 4))
-    _, grads = run_and_backprop(gru_scan, arrays, GRU_INPUTS, weight)
+    lengths = np.array([n, 1, max(n - 1, 1)])
+    arrays = gru_arrays(int(lengths.sum()), seed=20 + n)
+    weight = np.random.default_rng(n).normal(size=(3, 4))
+    fused = partial(masked_gru_scan, lengths=lengths)
+    _, grads = run_and_backprop(fused, arrays, GRU_INPUTS, weight)
     for name in GRU_INPUTS:
         def f(arr, name=name):
-            return float((gru_scan(**{**arrays, name: arr}) * weight).sum())
+            return float((fused(**{**arrays, name: arr}) * weight).sum())
         num = numeric_grad(f, arrays[name].copy())
         assert np.allclose(grads[name], num, atol=1e-6), name
 
@@ -247,23 +396,48 @@ def test_gru_scan_finite_difference_every_input(n):
 @pytest.mark.parametrize("n", [1, 2, 7])
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_attention_finite_difference_every_input(n, n_heads):
-    arrays = att_arrays(n, seed=30 + n)
-    weight = np.random.default_rng(n).normal(size=(n, 8))
-    _, grads = run_and_backprop(partial(attention, n_heads=n_heads), arrays, ATT_INPUTS,
-                                weight)
+    lengths = np.array([n, 1, max(n - 1, 1)])
+    arrays = att_arrays(int(lengths.sum()), seed=30 + n)
+    weight = np.random.default_rng(n).normal(size=(int(lengths.sum()), 8))
+    fused = partial(masked_attention, n_heads=n_heads, lengths=lengths)
+    _, grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
     for name in ATT_INPUTS:
         def f(arr, name=name):
-            return float((attention(**{**arrays, name: arr}, n_heads=n_heads) * weight).sum())
+            return float((fused(**{**arrays, name: arr}) * weight).sum())
         num = numeric_grad(f, arrays[name].copy())
         assert np.allclose(grads[name], num, atol=1e-6), name
 
 
+def test_log_softmax_within_sets_values_and_finite_difference():
+    rng = np.random.default_rng(9)
+    lengths = np.array([3, 1, 5, 2])
+    x = rng.normal(size=int(lengths.sum())) * 4
+    lp = log_softmax(x, lengths)
+    for rows in _sets(lengths):
+        assert np.allclose(lp[rows], log_softmax_vec(x[rows]), atol=1e-12)
+    weight = Tensor(rng.normal(size=len(x)))
+    check_op(lambda t: (log_softmax(t, lengths) * weight).sum(), x.shape)
+
+
+def test_segment_sum_and_where_gradients():
+    seg = np.array([2, 0, 2, 2, 1])
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=5)
+    assert np.array_equal(segment_sum(x, seg, 4), [x[1], x[4], x[0] + x[2] + x[3], 0.0])
+    weight = Tensor(rng.normal(size=4))
+    check_op(lambda t: (segment_sum(t, seg, 4) * weight).sum(), (5,))
+    cond = np.array([[True, False, True]])
+    other = rng.normal(size=(2, 3))
+    check_op(lambda t: (where(cond, t, other) * Tensor(other)).sum(), (2, 3))
+    check_op(lambda t: (where(cond, other, t) * Tensor(other)).sum(), (1, 3))
+
+
 def _network_grads(monkeypatch, fused: bool):
     """Gradients of a teacher-forced replay plus critic over all parameters,
-    through d2sn's fused ops or through the reference loops."""
+    through d2sn's fused ops or through the reference graphs."""
     if not fused:
-        monkeypatch.setattr(d2sn, "gru_scan", reference_gru_scan)
-        monkeypatch.setattr(d2sn, "attention", reference_attention)
+        monkeypatch.setattr(d2sn, "masked_gru_scan", reference_masked_gru_scan)
+        monkeypatch.setattr(d2sn, "masked_attention", reference_masked_attention)
     cfg = d2sn.D2snConfig(d_model=8, n_heads=2, d_feat=12, g_dim=5)
     params = d2sn.init_params(cfg, seed=3, zero_heads=False)
     rng = np.random.default_rng(4)

@@ -6,7 +6,7 @@ import pytest
 from micod.autodiff import Tensor, log_softmax_vec, to_float
 from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_logits,
                         _hold_log_probs, aggregate, as_tensors, critic_value, encode,
-                        init_params, load_checkpoint, log_prob, sample_action,
+                        init_params, load_checkpoint, log_prob, replay, sample_action,
                         save_checkpoint)
 from micod.env import IllegalActionError, OuterState
 
@@ -384,11 +384,14 @@ def graph_size(out) -> int:
 
 
 def test_graph_size_does_not_grow_with_pool_rows(params):
-    # one node per GRU scan and per attention call, whatever the row count
+    # one node per masked GRU scan and per masked attention call, whatever
+    # the row count
     tensors = as_tensors(params)
     small = make_state([(i, i) for i in range(3)], seed=61)
     large = make_state([(i, i) for i in range(40)], seed=62)
-    agg = [graph_size(aggregate(s.feature_matrix, tensors)) for s in (small, large)]
+    action = ActionRecord(steps=[(0, 0), (1, None)], selected=[0], held=[], exhaustive=False,
+                          logp=0.0)
+    agg = [graph_size(replay([(s, action)], tensors)[0]) for s in (small, large)]
     crit = [graph_size(critic_value(s, tensors)) for s in (small, large)]
     assert agg[0] == agg[1]
     assert crit[0] == crit[1]

@@ -43,7 +43,7 @@ mean,km,L2,400,,,0.9583333333333334,1007.6562076101351,123.42,0.0,0.0,0.0,0.0,0.
 std,km,L2,400,,,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0
 """
 
-GOLDEN_TRAIN_DIGEST = "ec7121816de482a48a6dd410ce291d9f310cfae93220f560f26c8d7d47f6a552"
+GOLDEN_TRAIN_DIGEST = "72d2d183c8225bbb6799de97e64347e3a17cdcbbeb600eb1470b5b862cd481d0"
 
 POLICIES = ["km", "greedy", "gs", "fixed_delay(3)", "d2sn(init.ckpt)"]
 

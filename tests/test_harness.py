@@ -562,6 +562,59 @@ def test_cli_train_accepts_every_train_config_field(tmp_path):
     assert (out_dir / "curves.csv").exists()
 
 
+def _no_rollouts(monkeypatch):
+    import micod.trainer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout ran before the datasets were checked")
+    monkeypatch.setattr(micod.trainer, "collect_rollouts", refuse)
+
+
+@pytest.mark.parametrize("episodes", [1, 4])
+def test_cli_train_datasets_of_different_grids_is_data_error(tmp_path, capsys, monkeypatch,
+                                                             episodes):
+    import shutil
+
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    small_dataset(str(first))
+    shutil.copy(first, second)
+    _edit_record(second, "config", cell_size_m=1600.0)  # a coarser grid: fewer global inputs
+    _no_rollouts(monkeypatch)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {first},{second}\niterations = 1\n"
+                      f"episodes_per_iter = {episodes}\n")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out_dir)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert str(second) in captured.err
+    assert "model parameters" not in captured.out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("net", [{"g_dim": 7}, {"d_feat": 5}])
+def test_cli_train_resume_from_checkpoint_that_does_not_fit_is_data_error(
+        tmp_path, capsys, monkeypatch, net):
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = tmp_path / "d.jsonl"
+    ds = small_dataset(str(ds_path))
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    latest = out_dir / "latest.ckpt"
+    save_checkpoint(init_params(D2snConfig(**{"g_dim": global_info_dim(ds.config), **net})),
+                    latest, extra={"iteration": 1})
+    _no_rollouts(monkeypatch)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {ds_path}\niterations = 2\nepisodes_per_iter = 1\n")
+    rc = main(["train", "--config", str(config), "--out", str(out_dir), "--resume"])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert str(latest) in captured.err and str(ds_path) in captured.err
+    assert "model parameters" not in captured.out
+    assert not (out_dir / "curves.csv").exists()
+
+
 @pytest.mark.parametrize("net", [{"g_dim": 7}, {"d_feat": 5}])
 @pytest.mark.parametrize("after_km", [False, True])
 def test_cli_eval_checkpoint_that_does_not_fit_is_data_error(tmp_path, capsys, monkeypatch,
