@@ -11,9 +11,7 @@ Tensors they build graph nodes. Network code written against these helpers
 therefore runs identically in a fast no-gradient mode and a differentiable
 mode. The network's two loops, the GRU scan and multi-head attention, are
 fused ops of this kind over the row sets of many sub-steps at once
-(``masked_gru_scan``, ``masked_attention``) that record one node per call;
-``gru_scan`` and ``attention`` are their one-set, no-gradient forms for
-sampling.
+(``masked_gru_scan``, ``masked_attention``) that record one node per call.
 """
 
 from __future__ import annotations
@@ -286,16 +284,18 @@ def log_softmax_vec(x):
 
 # -- batched ops over row sets ------------------------------------------------------
 #
-# Replay stacks many sub-steps' row sets into one array: S sets of
-# ``lengths[s] >= 1`` rows each, concatenated in order, ``(sum(lengths), d)``.
-# Each op below runs on plain arrays and, when any input is a Tensor, records
-# one graph node with a hand-written backward, so the graph size does not
-# depend on S or on the lengths. The backwards of ``masked_attention`` and
-# ``masked_gru_scan`` replay the gradient arithmetic of the equivalent
-# elementwise graph expression for expression: the same operand order, the
-# same per-step accumulation into shared weights, and parents listed so that
-# ``Tensor.backward`` reaches the input projections in the same order. Their
-# gradients are therefore bit-identical to building that graph op by op.
+# The network stacks row sets into one array: S sets of ``lengths[s] >= 1``
+# rows each, concatenated in order, ``(sum(lengths), d)``. Each op below runs
+# on plain arrays and, when any input is a Tensor, records one graph node with
+# a hand-written backward, so the graph size does not depend on S or on the
+# lengths. One set of plain arrays (a sampled sub-step) takes an unpadded path
+# that gives the same values with less bookkeeping. The backwards of
+# ``masked_attention`` and ``masked_gru_scan`` replay the gradient arithmetic
+# of the equivalent elementwise graph expression for expression: the same
+# operand order, the same per-step accumulation into shared weights, and
+# parents listed so that ``Tensor.backward`` reaches the input projections in
+# the same order. Their gradients are therefore bit-identical to building
+# that graph op by op.
 
 
 def _any_tensor(args) -> bool:
@@ -374,8 +374,16 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
     d = q_.shape[1]
     dh = d // n_heads
     scale = math.sqrt(dh)
-    starts = _starts(lengths)
     track = _any_tensor(args)
+    if len(lengths) == 1 and not track:
+        heads = []
+        for j in range(n_heads):
+            cols = (slice(None), slice(j * dh, (j + 1) * dh))
+            s = (q_[cols] @ k_[cols].T) / scale
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            heads.append((e / e.sum(axis=-1, keepdims=True)) @ v_[cols])
+        return heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)
+    starts = _starts(lengths)
     out = np.empty_like(q_)
     blocks = []
     for sets, width in _length_classes(lengths):
@@ -437,6 +445,15 @@ def masked_gru_scan(xz, xr, xh, uz, ur, uh, lengths: np.ndarray):
     args = (xz, xr, xh, uz, ur, uh)
     xz_, xr_, xh_, uz_, ur_, uh_ = (detach(a) for a in args)
     n_seq, d = len(lengths), xz_.shape[1]
+    track = _any_tensor(args)
+    if n_seq == 1 and not track:
+        h = np.zeros((1, d))
+        for i in range(xz_.shape[0]):
+            z = sigmoid(xz_[i:i + 1] + h @ uz_)
+            r = sigmoid(xr_[i:i + 1] + h @ ur_)
+            cand = np.tanh(xh_[i:i + 1] + (r * h) @ uh_)
+            h = (1.0 - z) * h + z * cand
+        return h
     order = np.argsort(-lengths, kind="stable")
     steps = int(lengths.max())
     running = np.arange(steps)[:, None] < lengths[order]
@@ -446,7 +463,6 @@ def masked_gru_scan(xz, xr, xh, uz, ur, uh, lengths: np.ndarray):
     first = np.concatenate([[0], np.cumsum(active[:steps])]).tolist()
     rows = (_starts(lengths)[order] + np.arange(steps)[:, None])[running]
     xz_t, xr_t, xh_t = xz_[rows], xr_[rows], xh_[rows]
-    track = _any_tensor(args)
     final = np.empty((n_seq, d))
     h = np.zeros((active[0], d))
     saved = []
@@ -498,41 +514,3 @@ def masked_gru_scan(xz, xr, xh, uz, ur, uh, lengths: np.ndarray):
     # backward's depth-first walk visits the last parent first, so xr's
     # projection is reached first, as in the per-row graph
     return Tensor(out, (uz_t, ur_t, uh_t, xz_t_, xh_t_, xr_t_), back)
-
-
-# -- unbatched network ops (sampling) --------------------------------------------
-#
-# Sampling walks one sub-state at a time on plain arrays. These are the same
-# GRU scan and attention for one unpadded block, kept separate so that the
-# sampled actions, and the eval output they drive, stay the same bit for bit.
-
-
-def gru_scan(xz, xr, xh, uz, ur, uh):
-    """Gated recurrent scan over input rows from a zero hidden state; returns
-    the final ``(1, d)`` state. ``xz``/``xr``/``xh`` hold one row per step:
-    the input projections of the update gate, the reset gate and the
-    candidate; ``uz``/``ur``/``uh`` are the recurrent weights."""
-    n, d = xz.shape
-    h = np.zeros((1, d))
-    for i in range(n):
-        z = sigmoid(xz[i:i + 1] + h @ uz)
-        r = sigmoid(xr[i:i + 1] + h @ ur)
-        cand = np.tanh(xh[i:i + 1] + (r * h) @ uh)
-        h = (1.0 - z) * h + z * cand
-    return h
-
-
-def attention(q, k, v, n_heads: int):
-    """Multi-head scaled dot-product attention of every row over every row;
-    returns the heads side by side, ``(n, d)``, before any output
-    projection. ``q``/``k``/``v`` are the ``(n, d)`` projections; head ``j``
-    reads columns ``j * d / n_heads`` up to the next head's."""
-    dh = q.shape[1] // n_heads
-    scale = math.sqrt(dh)
-    heads = []
-    for j in range(n_heads):
-        cols = (slice(None), slice(j * dh, (j + 1) * dh))
-        s = (q[cols] @ k[cols].T) / scale
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        heads.append((e / e.sum(axis=-1, keepdims=True)) @ v[cols])
-    return heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)

@@ -39,6 +39,13 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _check_keys(cfgd: dict[str, str], path: str, known) -> None:
+    """A config key the command does not read is a data error naming file and key."""
+    for key in cfgd:
+        if key not in known:
+            raise DataError(f"{path}: unknown key {key!r}")
+
+
 def _setting(flag, cfgd: dict[str, str], path: str, key: str, convert, default=None):
     """``flag`` if given, else ``convert(cfgd[key])``, else ``default``. A
     config value that does not convert is a data error naming file and key."""
@@ -130,11 +137,8 @@ def _run_train(args) -> int:
     raw.pop("reward_mode", None)
 
     converters = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(TrainConfig)}
-    kwargs = {}
-    for key in raw:
-        if key not in converters:
-            raise DataError(f"{args.config}: unknown key {key!r}")
-        kwargs[key] = _setting(None, raw, args.config, key, converters[key])
+    _check_keys(raw, args.config, converters)
+    kwargs = {key: _setting(None, raw, args.config, key, converters[key]) for key in raw}
     try:
         cfg = TrainConfig(**kwargs)
     except ValueError as exc:
@@ -178,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "generate":
             cfgd = parse_config_file(args.config) if args.config else {}
+            _check_keys(cfgd, args.config, ("level", "bin", "count", "scale", "seed", "out"))
             level = _setting(args.level, cfgd, args.config, "level", _one_of(RATIO_BANDS))
             cap = _setting(args.bin, cfgd, args.config, "bin", _one_of(CAPACITY_BINS, int), 0)
             count = _setting(args.count, cfgd, args.config, "count", int, 1)
@@ -198,13 +203,15 @@ def main(argv: list[str] | None = None) -> int:
                       f"ratio={ds.ds_ratio():.3f} cell={cell or 'unclassified'}")
         elif args.command == "eval":
             cfgd = parse_config_file(args.config) if args.config else {}
+            _check_keys(cfgd, args.config,
+                        ("policies", "datasets", "seeds", "seed", "mode", "out"))
             policy_ids = args.policy or [p.strip() for p in
                                          cfgd.get("policies", "").split(",") if p.strip()]
             dataset_args = args.dataset or [p.strip() for p in
                                             cfgd.get("datasets", "").split(",") if p.strip()]
             n_seeds = _setting(args.seeds, cfgd, args.config, "seeds", int, 30)
             first_seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)
-            mode = args.mode or cfgd.get("mode", "TDI")
+            mode = _setting(args.mode, cfgd, args.config, "mode", _one_of(("APD", "TDI")), "TDI")
             out = args.out or cfgd.get("out")
             if not policy_ids or not dataset_args or not out:
                 raise UsageError("eval needs --policy, --dataset and --out "

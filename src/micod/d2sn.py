@@ -9,17 +9,17 @@ decision head scoring each remaining pair. A complete batch action is the
 sequence of sampled sub-actions; its probability is the product of the
 per-sub-step head probabilities.
 
-:func:`sample_action` walks one sub-state at a time on plain arrays.
-:func:`replay` scores recorded actions: it stacks the row sets of every
-sub-step of many transitions and runs the network once over them, written
-against :mod:`micod.autodiff` dual-mode helpers. Pass
-:class:`D2snParams` holding ndarrays for values only, or the Tensor copy
-:func:`as_tensors` makes to get exact reverse-mode gradients through the same
-arithmetic; the graph it builds has the same nodes however many sub-steps and
-rows it holds.
+:func:`sample_action` and :func:`replay` share one sub-state walk and one
+network over stacked row sets, written against :mod:`micod.autodiff`
+dual-mode helpers. Sampling runs it on one set per sub-step with plain
+arrays; replay stacks the row sets of every sub-step of many transitions and
+runs it once over them. Pass :class:`D2snParams` holding ndarrays for values
+only, or the Tensor copy :func:`as_tensors` makes to get exact reverse-mode
+gradients through the same arithmetic; the graph it builds has the same nodes
+however many sub-steps and rows it holds.
 
-The critic mirrors the decoder trunk with its own parameters but sees only the
-outer state (pool plus global context), never sub-states or actions;
+The critic runs the aggregator's trunk with its own parameters but sees only
+the outer state (pool plus global context), never sub-states or actions;
 :func:`critic_values` runs it over many states at once.
 """
 
@@ -35,9 +35,8 @@ from operator import add
 
 import numpy as np
 
-from .autodiff import (Tensor, asum, attention, concat, exp, gru_scan, log_softmax,
-                       log_softmax_vec, masked_attention, masked_gru_scan, segment_sum, tanh,
-                       where)
+from .autodiff import (Tensor, asum, concat, exp, log_softmax, log_softmax_vec, masked_attention,
+                       masked_gru_scan, segment_sum, tanh, where)
 from .env import N_PAIR_FEATURES, IllegalActionError, OuterState, mask_after_selection
 
 
@@ -143,62 +142,97 @@ def as_tensors(params: D2snParams) -> D2snParams:
     return D2snParams(params.config, {k: Tensor(v) for k, v in params.tensors.items()})
 
 
-# -- sampling: one sub-state at a time, plain arrays --------------------------------
+# -- the network over row sets ---------------------------------------------------------
+#
+# Every pass reads S row sets stacked into one ``(sum of lengths, d)`` array,
+# with a length per set: replay stacks many sub-steps, sampling passes one set.
+# Given one set of plain arrays, the fused attention and GRU ops take their
+# unpadded path.
 
 
-def _mha(x, P: dict, prefix: str, n_heads: int):
+def _embed_rows(row_sets: list[np.ndarray], P: dict, w: str, b: str, null: str):
+    """Embed S row sets stacked in order: returns the embedded rows and each
+    set's length. An empty set reads as one row, the learned ``null`` row."""
+    lengths = np.array([max(len(r), 1) for r in row_sets])
+    empty = lengths > np.array([len(r) for r in row_sets])
+    if empty.all():
+        return P[null] + np.zeros((len(row_sets), 1)), lengths
+    blank = np.zeros((1, P[w].shape[0]))
+    x = np.concatenate([r if len(r) else blank for r in row_sets]) @ P[w] + P[b]
+    if empty.any():
+        first = np.zeros(int(lengths.sum()), dtype=bool)
+        first[(np.cumsum(lengths) - lengths)[empty]] = True
+        x = where(first[:, None], P[null], x)
+    return x, lengths
+
+
+def _mha(x, P: dict, prefix: str, n_heads: int, lengths: np.ndarray):
     q = x @ P[prefix + "wq"] + P[prefix + "bq"]
     k = x @ P[prefix + "wk"] + P[prefix + "bk"]
     v = x @ P[prefix + "wv"] + P[prefix + "bv"]
-    return attention(q, k, v, n_heads) @ P[prefix + "wo"] + P[prefix + "bo"]
+    return masked_attention(q, k, v, n_heads, lengths) @ P[prefix + "wo"] + P[prefix + "bo"]
 
 
-def _gru_scan(x_rows, P: dict, prefix: str):
-    """Consume rows in order from a zero hidden state; returns (1, d)."""
-    xz = x_rows @ P[prefix + "wz"] + P[prefix + "bz"]
-    xr = x_rows @ P[prefix + "wr"] + P[prefix + "br"]
-    xh = x_rows @ P[prefix + "wh"] + P[prefix + "bh"]
-    return gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"])
+def _gru(x, P: dict, prefix: str, lengths: np.ndarray):
+    xz = x @ P[prefix + "wz"] + P[prefix + "bz"]
+    xr = x @ P[prefix + "wr"] + P[prefix + "br"]
+    xh = x @ P[prefix + "wh"] + P[prefix + "bh"]
+    return masked_gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"],
+                           lengths)
+
+
+def _trunk(row_sets: list[np.ndarray], params: D2snParams, critic: bool = False):
+    """One ``(S, d)`` context row per row set: the rows are embedded, attended
+    as a set, then consumed in order by the recurrent cell, so the selection
+    chronology is preserved. The aggregator and the critic run it, each with
+    its own parameters."""
+    P = params.tensors
+    w, b, null, attn, gru = (("v_emb_w", "v_emb_b", "v_null", "v_", "v_gru_") if critic
+                             else ("emb_w", "emb_b", "act_null", "dec_", "gru_"))
+    x, lengths = _embed_rows(row_sets, P, w, b, null)
+    return _gru(_mha(x, P, attn, params.config.n_heads, lengths), P, gru, lengths)
+
+
+def _encode(row_sets: list[np.ndarray], params: D2snParams):
+    """Latent rows of S row sets stacked in order, one per input row
+    (permutation-equivariant within each set), and each set's length."""
+    P = params.tensors
+    x, lengths = _embed_rows(row_sets, P, "emb_w", "emb_b", "act_null")
+    x = x + _mha(x, P, "enc_", params.config.n_heads, lengths)
+    return x + tanh(x @ P["enc_w1"] + P["enc_b1"]) @ P["enc_w2"] + P["enc_b2"], lengths
 
 
 def encode(pool_features: np.ndarray, params: D2snParams):
-    """Pool rows -> latent rows, one per input row (permutation-equivariant;
-    an empty pool encodes the learned null row instead)."""
-    P = params.tensors
-    if not np.all(np.isfinite(pool_features)):
-        raise ValueError("non-finite pool features")
-    if pool_features.shape[0] == 0:
-        x = P["act_null"]
-    else:
-        x = pool_features @ P["emb_w"] + P["emb_b"]
-    x = x + _mha(x, P, "enc_", params.config.n_heads)
-    ffn = tanh(x @ P["enc_w1"] + P["enc_b1"]) @ P["enc_w2"] + P["enc_b2"]
-    return x + ffn
+    """Pool rows -> latent rows, the one-set case of the encoder (an empty
+    pool encodes the learned null row instead)."""
+    return _encode([pool_features], params)[0]
 
 
 def aggregate(substate_features: np.ndarray, params: D2snParams):
-    """Variable-size sub-state rows -> one fixed-size context vector. Rows are
-    attended as a set, then consumed in order by the recurrent cell so the
-    selection chronology is preserved."""
-    P = params.tensors
-    if substate_features.shape[0] == 0:
-        x = P["act_null"]
-    else:
-        x = substate_features @ P["emb_w"] + P["emb_b"]
-    x = _mha(x, P, "dec_", params.config.n_heads)
-    return _gru_scan(x, P, "gru_")
+    """Variable-size sub-state rows -> one fixed-size ``(1, d)`` context
+    vector, the one-set case of the aggregator trunk."""
+    return _trunk([substate_features], params)
 
 
-def _hold_log_probs(G, global_info: np.ndarray, P: dict):
-    """Hold head: log (p_continue, p_hold) from the context and global info."""
-    inp = concat([G, global_info.reshape(1, -1)], axis=1)
-    hid = tanh(inp @ P["hold_w1"] + P["hold_b1"])
-    logits = hid @ P["hold_w2"] + P["hold_b2"]
-    return log_softmax_vec(logits[0, :])
+def _hold_log_probs(G, infos: np.ndarray, P: dict):
+    """Hold head: log (p_continue, p_hold) of S sub-steps, ``(S, 2)``, from
+    their context rows ``G`` and global info rows ``infos``."""
+    hid = tanh(concat([G, infos], axis=1) @ P["hold_w1"] + P["hold_b1"])
+    logits = (hid @ P["hold_w2"] + P["hold_b2"]).reshape((-1,))
+    return log_softmax(logits, np.full(len(infos), 2)).reshape((len(infos), 2))
+
+
+# The decision head has two forms. Sampling scores one sub-step's rows as
+# ``k @ q.T`` and normalises with ``log_softmax_vec``; replay scores the rows
+# of many sub-steps as elementwise products summed per row and normalises
+# with the set ``log_softmax``. The two sum in different orders, so their
+# logits differ in the last bit for about 60% of rows; the sampling form
+# keeps sampled actions and their recorded log-probabilities as they were.
 
 
 def _decision_logits(R, G, global_info: np.ndarray, P: dict, d_model: int):
-    """Decision head: one scaled dot-product logit per row of ``R``."""
+    """Decision head, sampling form: one scaled dot-product logit per row of
+    ``R``."""
     q = concat([G, global_info.reshape(1, -1)], axis=1) @ P["cq_w"] + P["cq_b"]
     k = R @ P["ck_w"] + P["ck_b"]
     return (k @ q.T)[:, 0] / math.sqrt(d_model)
@@ -221,58 +255,97 @@ def _check_state(state: OuterState, config: D2snConfig) -> None:
     if state.global_info.shape[0] != config.g_dim:
         raise ValueError(f"global info dim {state.global_info.shape[0]} != "
                          f"configured {config.g_dim}")
+    if not np.all(np.isfinite(state.feature_matrix)):
+        raise ValueError("non-finite pool features")
+
+
+# -- the sub-state walk ---------------------------------------------------------------
+
+
+def _walk(state: OuterState, choose):
+    """The sub-state machine. From the full pool, sub-step k asks
+    ``choose(k, remaining rows, rows selected so far)`` for its sub-action
+    ``(h, c)``. A hold (``h == 1``) or an empty pool ends the walk; otherwise
+    row ``c`` is selected and :func:`mask_after_selection` clears it and every
+    row sharing its order or driver (raising unless it is available). Returns
+    the sub-steps as ``(h, remaining rows, selected row or None)`` and the
+    selected rows in order."""
+    mask = np.ones(state.n_pairs, dtype=bool)
+    steps, selected = [], []
+    while True:
+        remaining = np.flatnonzero(mask)
+        h, c = choose(len(steps), remaining, selected)
+        if h == 1 or len(remaining) == 0:
+            steps.append((h, remaining, None))
+            return steps, selected
+        mask = mask_after_selection(state, mask, c)
+        steps.append((0, remaining, c))
+        selected.append(c)
 
 
 def sample_action(state: OuterState, params: D2snParams, rng: np.random.Generator,
                   force_exhaustive: bool = False) -> ActionRecord:
-    """Roll the auto-regressive sub-step loop forward, sampling each head.
-    The walk starts from the full pool and narrows the available-row mask
-    with :func:`mask_after_selection` after each selection, until a hold or
-    an empty pool ends it. ``force_exhaustive`` pins every hold decision to
-    continue (the hold-disabled ablation); selection stops only when the pool
-    drains."""
+    """Roll the auto-regressive sub-step walk forward, sampling each head;
+    the encoder runs only on sub-steps that select a row.
+    ``force_exhaustive`` pins every hold decision to continue (the
+    hold-disabled ablation); selection stops only when the pool drains."""
     _check_state(state, params.config)
     P = params.tensors
     feats = state.feature_matrix
-    n0 = state.n_pairs
-    mask = np.ones(n0, dtype=bool)
-    selected: list[int] = []
-    steps: list[tuple[int, int | None]] = []
+    info = state.global_info.reshape(1, -1)
     step_logps = []
-    held: list[int] = []
-    while True:
-        remaining = np.flatnonzero(mask)
-        R = encode(feats[remaining] if len(remaining) else feats[:0], params)
-        G = aggregate(np.concatenate([feats, feats[selected]], axis=0) if n0 else feats[:0],
-                      params)
-        lp_hold = _hold_log_probs(G, state.global_info, P)
+
+    def choose(k, remaining, selected):
+        G = aggregate(np.concatenate([feats, feats[selected]], axis=0), params)
+        lp_hold = _hold_log_probs(G, info, P)[0]
         if force_exhaustive:
             h, lp_h = 0, 0.0
         else:
             h = 1 if rng.random() < float(np.exp(lp_hold[1])) else 0
             lp_h = lp_hold[h]
-        if h == 1:
-            steps.append((1, None))
+        if h == 1 or len(remaining) == 0:
             step_logps.append(lp_h)
-            held = [int(i) for i in remaining]
-            break
-        if len(remaining) == 0:
-            steps.append((0, None))
-            step_logps.append(lp_h)
-            break
-        lp_vec = log_softmax_vec(_decision_logits(R, G, state.global_info, P,
-                                                  params.config.d_model))
+            return h, None
+        R = encode(feats[remaining], params)
+        lp_vec = log_softmax_vec(_decision_logits(R, G, info, P, params.config.d_model))
         cum = np.cumsum(np.exp(lp_vec))
         pos = min(int(np.searchsorted(cum, rng.random(), side="right")), len(remaining) - 1)
-        c_pool = int(remaining[pos])
-        steps.append((0, c_pool))
         step_logps.append(lp_h + lp_vec[pos])
-        selected.append(c_pool)
-        mask = mask_after_selection(state, mask, c_pool)
+        return 0, int(remaining[pos])
+
+    steps, selected = _walk(state, choose)
+    h, remaining, _ = steps[-1]
     return ActionRecord(
-        steps=steps, selected=selected, held=held, exhaustive=force_exhaustive,
+        steps=[(h_k, c) for h_k, _, c in steps], selected=selected,
+        held=[int(i) for i in remaining] if h == 1 else [], exhaustive=force_exhaustive,
         logp=float(reduce(add, step_logps)), step_logps=[float(x) for x in step_logps],
     )
+
+
+def _teacher_forced(state: OuterState, action: ActionRecord, config: D2snConfig):
+    """The walk of a recorded action, checking each sub-action as sampling
+    would allow it (an illegal one raises :class:`IllegalActionError`)."""
+    _check_state(state, config)
+    recorded = action.steps
+
+    def choose(k, remaining, selected):
+        if k >= len(recorded):
+            raise IllegalActionError("replay ran past the recorded sub-actions")
+        h, c = recorded[k]
+        if action.exhaustive:
+            h = 0
+        elif h == 1 and c is not None:
+            raise IllegalActionError("recorded hold step must not carry a selection")
+        if h == 0 and c is None and len(remaining):
+            raise IllegalActionError("recorded continue step carries no selection")
+        if h == 0 and c is not None and not len(remaining):
+            raise IllegalActionError(f"row {c} not available at replay step {k}")
+        return h, c
+
+    walked = _walk(state, choose)
+    if len(walked[0]) != len(recorded):
+        raise IllegalActionError("replay terminated at a different sub-step count")
+    return walked
 
 
 # -- replay: many sub-steps as one program ---------------------------------------------
@@ -297,75 +370,6 @@ def _chunks(sizes: list[int]):
     yield start, len(sizes)
 
 
-def _embed_rows(row_sets: list[np.ndarray], P: dict, w: str, b: str, null: str):
-    """Embed S row sets stacked in order: returns the embedded rows and each
-    set's length. An empty set reads as one row, the learned ``null`` row."""
-    lengths = np.array([max(len(r), 1) for r in row_sets])
-    empty = lengths > np.array([len(r) for r in row_sets])
-    if empty.all():
-        return P[null] + np.zeros((len(row_sets), 1)), lengths
-    blank = np.zeros((1, P[w].shape[0]))
-    x = np.concatenate([r if len(r) else blank for r in row_sets]) @ P[w] + P[b]
-    if empty.any():
-        first = np.zeros(int(lengths.sum()), dtype=bool)
-        first[(np.cumsum(lengths) - lengths)[empty]] = True
-        x = where(first[:, None], P[null], x)
-    return x, lengths
-
-
-def _masked_mha(x, P: dict, prefix: str, n_heads: int, lengths: np.ndarray):
-    q = x @ P[prefix + "wq"] + P[prefix + "bq"]
-    k = x @ P[prefix + "wk"] + P[prefix + "bk"]
-    v = x @ P[prefix + "wv"] + P[prefix + "bv"]
-    return masked_attention(q, k, v, n_heads, lengths) @ P[prefix + "wo"] + P[prefix + "bo"]
-
-
-def _masked_gru(x, P: dict, prefix: str, lengths: np.ndarray):
-    xz = x @ P[prefix + "wz"] + P[prefix + "bz"]
-    xr = x @ P[prefix + "wr"] + P[prefix + "br"]
-    xh = x @ P[prefix + "wh"] + P[prefix + "bh"]
-    return masked_gru_scan(xz, xr, xh, P[prefix + "uz"], P[prefix + "ur"], P[prefix + "uh"],
-                           lengths)
-
-
-def _teacher_forced(state: OuterState, action: ActionRecord, config: D2snConfig):
-    """Walk a recorded action over the pool, checking each sub-action as
-    sampling would allow it. Returns its sub-steps, each ``(h, remaining
-    rows, position of the selected row among them)`` with ``None`` for the
-    last two on the hold or end step, and the rows the aggregator reads: the
-    pool, then the selected rows in order."""
-    _check_state(state, config)
-    feats = state.feature_matrix
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("non-finite pool features")
-    recorded = action.steps
-    mask = np.ones(state.n_pairs, dtype=bool)
-    steps, selected = [], []
-    while True:
-        k = len(steps)
-        if k >= len(recorded):
-            raise IllegalActionError("replay ran past the recorded sub-actions")
-        h, c = recorded[k]
-        if action.exhaustive:
-            h = 0
-        elif h == 1 and c is not None:
-            raise IllegalActionError("recorded hold step must not carry a selection")
-        remaining = np.flatnonzero(mask)
-        if h == 1 or len(remaining) == 0:
-            if h == 0 and c is not None:
-                raise IllegalActionError(f"row {c} not available at replay step {k}")
-            steps.append((h, None, None))
-            break
-        if c is None:
-            raise IllegalActionError("recorded continue step carries no selection")
-        mask = mask_after_selection(state, mask, c)  # raises unless row c is available
-        steps.append((0, remaining, int(np.searchsorted(remaining, c))))
-        selected.append(c)
-    if len(steps) != len(recorded):
-        raise IllegalActionError("replay terminated at a different sub-step count")
-    return steps, np.concatenate([feats, feats[selected]], axis=0)
-
-
 def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
                        params: D2snParams):
     """Log-probability and entropy of S sub-steps, as two length-S vectors.
@@ -376,7 +380,6 @@ def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
     ``enc_rows[j]``. Only sub-steps that a head reads are aggregated, so a
     parameter no head reaches gets no gradient, as in a per-sub-step graph."""
     P = params.tensors
-    cfg = params.config
     n = len(agg_rows)
     lp, ent = np.zeros(n), np.zeros(n)
     read = holds.copy()
@@ -384,23 +387,20 @@ def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
     used = np.flatnonzero(read)
     if not len(used):
         return lp, ent
-    x, lengths = _embed_rows([agg_rows[s] for s in used], P, "emb_w", "emb_b", "act_null")
-    G = _masked_gru(_masked_mha(x, P, "dec_", cfg.n_heads, lengths), P, "gru_", lengths)
+    G = _trunk([agg_rows[s] for s in used], params)
     if holds.any():
-        hid = tanh(concat([G, global_info[used]], axis=1) @ P["hold_w1"] + P["hold_b1"])
-        logits = (hid @ P["hold_w2"] + P["hold_b2"]).reshape((-1,))
-        lp_hold = log_softmax(logits, np.full(len(used), 2)).reshape((len(used), 2))
+        lp_hold = _hold_log_probs(G, global_info[used], P)
         on = holds[used].astype(np.float64)
         lp = segment_sum(lp_hold[np.arange(len(used)), h[used]] * on, used, n)
         ent = segment_sum(-asum(exp(lp_hold) * lp_hold, axis=1) * on, used, n)
     if len(dec):
-        x, lengths = _embed_rows(enc_rows, P, "emb_w", "emb_b", "act_null")
-        x = x + _masked_mha(x, P, "enc_", cfg.n_heads, lengths)
-        R = x + tanh(x @ P["enc_w1"] + P["enc_b1"]) @ P["enc_w2"] + P["enc_b2"]
+        R, lengths = _encode(enc_rows, params)
+        # the decision head's replay form (see _decision_logits)
         q = (concat([G[np.searchsorted(used, dec)], global_info[dec]], axis=1) @ P["cq_w"]
              + P["cq_b"])
         owner = np.repeat(np.arange(len(dec)), lengths)
-        logits = asum((R @ P["ck_w"] + P["ck_b"]) * q[owner], axis=1) / math.sqrt(cfg.d_model)
+        logits = (asum((R @ P["ck_w"] + P["ck_b"]) * q[owner], axis=1)
+                  / math.sqrt(params.config.d_model))
         lp_dec = log_softmax(logits, lengths)
         lp = lp + segment_sum(lp_dec[np.cumsum(lengths) - lengths + pos], dec, n)
         ent = ent + segment_sum(-(exp(lp_dec) * lp_dec), dec[owner], n)
@@ -417,12 +417,14 @@ def replay(transitions, params: D2snParams):
     seg, agg_rows, infos, h, holds = [], [], [], [], []
     dec, enc_rows, pos = [], [], []
     for t, (state, action) in enumerate(transitions):
-        steps, rows = _teacher_forced(state, action, params.config)
-        for k, (h_k, remaining, pos_k) in enumerate(steps):
-            if remaining is not None:
+        steps, selected = _teacher_forced(state, action, params.config)
+        feats = state.feature_matrix
+        rows = np.concatenate([feats, feats[selected]], axis=0)
+        for k, (h_k, remaining, c) in enumerate(steps):
+            if c is not None:
                 dec.append(len(seg))
-                enc_rows.append(state.feature_matrix[remaining])
-                pos.append(pos_k)
+                enc_rows.append(feats[remaining])
+                pos.append(np.searchsorted(remaining, c))
             seg.append(t)
             agg_rows.append(rows[:state.n_pairs + k])
             infos.append(state.global_info)
@@ -465,10 +467,7 @@ def critic_values(states: list[OuterState], params: D2snParams):
     parts = []
     for lo, hi in _chunks([s.n_pairs for s in states]):
         chunk = states[lo:hi]
-        x, lengths = _embed_rows([s.feature_matrix for s in chunk], P, "v_emb_w", "v_emb_b",
-                                 "v_null")
-        G = _masked_gru(_masked_mha(x, P, "v_", params.config.n_heads, lengths), P, "v_gru_",
-                        lengths)
+        G = _trunk([s.feature_matrix for s in chunk], params, critic=True)
         inp = concat([G, np.array([s.global_info for s in chunk])], axis=1)
         hid = tanh(inp @ P["v_w1"] + P["v_b1"])
         parts.append((hid @ P["v_w2"] + P["v_b2"])[:, 0])

@@ -64,7 +64,7 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.update_sample_size is not None and self.update_sample_size < 1:
             raise ValueError(f"update_sample_size must be >= 1, got {self.update_sample_size}")
-        for name in ("epochs", "minibatch_size", "episodes_per_iter"):
+        for name in ("iterations", "epochs", "minibatch_size", "episodes_per_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:

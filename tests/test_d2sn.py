@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from micod import d2sn
 from micod.autodiff import Tensor, log_softmax_vec, to_float
 from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_logits,
                         _hold_log_probs, aggregate, as_tensors, critic_value, encode,
@@ -35,10 +36,24 @@ def test_encode_single_row(params):
     assert np.all(np.isfinite(R))
 
 
-def test_encode_rejects_nonfinite(params):
-    bad = np.full((2, 12), np.nan)
-    with pytest.raises(ValueError):
-        encode(bad, params)
+def holding(params):
+    """``params`` with a hold head that holds at every sub-step."""
+    boosted = params.copy()
+    boosted.tensors["hold_b2"] = np.array([[0.0, 50.0]])
+    return boosted
+
+
+def test_sampling_and_replay_reject_nonfinite_pool(params):
+    s = make_state([(1, 1), (2, 2)])
+    s.feature_matrix[1, 3] = np.nan
+    hold = ActionRecord(steps=[(1, None)], selected=[], held=[0, 1], exhaustive=False,
+                        logp=0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_action(s, holding(params), np.random.default_rng(0))  # a hold at step 0
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_action(s, params, np.random.default_rng(0), force_exhaustive=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        log_prob(s, hold, params)
 
 
 def test_encode_permutation_equivariance(params):
@@ -112,17 +127,15 @@ def test_hold_head_normalized_for_random_params():
     p_rand = init_params(CFG, seed=7, zero_heads=False)
     s = make_state([(1, 1), (2, 2)], seed=13)
     G = aggregate(s.feature_matrix, p_rand)
-    p = np.exp(_hold_log_probs(G, s.global_info, p_rand.tensors))
+    p = np.exp(_hold_log_probs(G, s.global_info[None], p_rand.tensors)[0])
     assert 0.0 < p[0] < 1.0 and 0.0 < p[1] < 1.0
     assert p[0] + p[1] == pytest.approx(1.0, abs=1e-9)
     assert step_prob(s, [(1, None)], p_rand) == pytest.approx(p[1], abs=1e-12)
 
 
 def test_hold_head_saturates_with_large_logit(params):
-    boosted = params.copy()
-    boosted.tensors["hold_b2"] = np.array([[0.0, 50.0]])
     s = make_state([(1, 1)])
-    assert step_prob(s, [(1, None)], boosted) > 1.0 - 1e-9
+    assert step_prob(s, [(1, None)], holding(params)) > 1.0 - 1e-9
 
 
 def test_decision_head_single_row(params):
@@ -231,6 +244,25 @@ def test_replay_rejects_illegal_row(params):
                        exhaustive=False, logp=0.0)
     with pytest.raises(IllegalActionError):
         log_prob(s, bad, params)  # row 1 shares the order of row 0
+
+
+def test_sampling_encodes_once_per_selection(params, monkeypatch):
+    encoded = []
+
+    def counting_encode(rows, p):
+        encoded.append(len(rows))
+        return encode(rows, p)
+
+    monkeypatch.setattr(d2sn, "encode", counting_encode)
+    s = make_state([(1, 1), (1, 2), (2, 1), (3, 3), (4, 4)], seed=33)
+    held = sample_action(s, holding(params), np.random.default_rng(0))
+    assert held.steps == [(1, None)] and held.held == [0, 1, 2, 3, 4]
+    assert encoded == []
+    full = sample_action(s, params, np.random.default_rng(1), force_exhaustive=True)
+    picks = len(full.selected)
+    assert picks >= 3 and len(full.steps) == picks + 1
+    assert len(encoded) == picks
+    assert encoded[0] == 5  # the first selection reads the whole pool
 
 
 def test_sampling_deterministic_given_seed(params):

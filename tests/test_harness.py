@@ -444,6 +444,18 @@ def test_cli_eval_config_bad_seeds_is_data_error(tmp_path, capsys):
     assert str(cfg) in err and "seeds" in err
 
 
+def test_cli_eval_config_bad_mode_is_data_error(tmp_path, capsys):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"policies = km\ndatasets = {ds_path}\nmode = XYZ\n"
+                   f"out = {tmp_path / 'o.csv'}\n")
+    assert main(["eval", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "mode" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_generate_config_bad_scale_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(f"level = L1\nbin = 400\nscale = big\nout = {tmp_path / 'out'}\n")
@@ -452,7 +464,7 @@ def test_cli_generate_config_bad_scale_is_data_error(tmp_path, capsys):
     assert str(cfg) in err and "scale" in err
 
 
-@pytest.mark.parametrize("key", ["minibatch_size", "episodes_per_iter"])
+@pytest.mark.parametrize("key", ["minibatch_size", "episodes_per_iter", "iterations"])
 def test_cli_train_zero_size_is_data_error(tmp_path, capsys, key):
     small_dataset(str(tmp_path / "d.jsonl"))
     config = tmp_path / "train.cfg"
@@ -509,6 +521,27 @@ def test_cli_generate_config_unknown_level_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(cfg) in err and "level" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_generate_config_unknown_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"level = L1\nbin = 400\nscale = 0.05\nsead = 7\nout = {tmp_path / 'out'}\n")
+    assert main(["generate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'sead'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_config_unknown_key_is_data_error(tmp_path, capsys):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    cfg = tmp_path / "eval.cfg"
+    out = tmp_path / "o.csv"
+    cfg.write_text(f"policies = km\ndatasets = {ds_path}\nsedes = 2\nout = {out}\n")
+    assert main(["eval", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "'sedes'" in err
+    assert not out.exists()
 
 
 def test_cli_train_bad_config_key(tmp_path):

@@ -66,6 +66,12 @@ def reference_aggregate(substate_features, params):
     return _gru(_mha(x, P, "dec_", params.config.n_heads), P, "gru_")
 
 
+def reference_hold_log_probs(G, global_info, P):
+    inp = concat([G, global_info.reshape(1, -1)], axis=1)
+    hid = tanh(inp @ P["hold_w1"] + P["hold_b1"])
+    return log_softmax_vec((hid @ P["hold_w2"] + P["hold_b2"])[0, :])
+
+
 def reference_log_prob(state, action, params):
     """(total, per-step list, entropy) of one recorded action."""
     P = params.tensors
@@ -80,7 +86,7 @@ def reference_log_prob(state, action, params):
         R = reference_encode(feats[remaining] if len(remaining) else feats[:0], params)
         sub_rows = np.concatenate([feats, feats[selected]], axis=0) if n0 else feats[:0]
         G = reference_aggregate(sub_rows, params)
-        lp_hold = d2sn._hold_log_probs(G, state.global_info, P)
+        lp_hold = reference_hold_log_probs(G, state.global_info, P)
         if action.exhaustive:
             h, lp_h = 0, 0.0
         else:

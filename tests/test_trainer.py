@@ -286,7 +286,7 @@ def test_ppo_update_approx_kl_is_mean_negative_log_ratio():
     assert diag["approx_kl"] >= 1.0 - diag["mean_ratio"] - 1e-12
 
 
-@pytest.mark.parametrize("key", ["epochs", "minibatch_size", "episodes_per_iter"])
+@pytest.mark.parametrize("key", ["iterations", "epochs", "minibatch_size", "episodes_per_iter"])
 def test_train_config_rejects_sizes_below_one(key):
     with pytest.raises(ValueError, match=key):
         TrainConfig(**{key: 0})
