@@ -348,18 +348,48 @@ def log_softmax(x, lengths: np.ndarray):
                   lambda g: x._accum(g - p * np.add.reduceat(g, starts)[owner]))
 
 
+# Upper bound on the score cells one attention block holds per head: a padded
+# block of sets x width x width, or a slice of query rows x keys of one set.
+ATTENTION_CELLS = 1 << 20
+
+
 def _length_classes(lengths: np.ndarray):
     """The sets, longest first, in groups whose lengths lie within a factor
-    of two: (set indices, padded width) per group. Padding a group to its
+    of two and whose padded score cells (sets x width^2) stay within
+    ``ATTENTION_CELLS``; a set wider than that is a group of its own.
+    Returns (set indices, padded width) per group. Padding a group to its
     longest set wastes at most half of each row and three quarters of each
     score matrix."""
     order = np.argsort(-lengths, kind="stable")
     groups, first = [], 0
     for i in range(1, len(order) + 1):
-        if i == len(order) or 2 * lengths[order[i]] <= lengths[order[first]]:
-            groups.append((order[first:i], int(lengths[order[first]])))
+        width = int(lengths[order[first]])
+        if (i == len(order) or 2 * lengths[order[i]] <= width
+                or (i + 1 - first) * width ** 2 > ATTENTION_CELLS):
+            groups.append((order[first:i], width))
             first = i
     return groups
+
+
+def _attend_heads(q, k, v, n_heads: int, neg, step: int, out, saved=None):
+    """Softmax attention of each head over the last two axes, written into
+    ``out``: query rows in slices of ``step``, keys offset by ``neg``
+    (``-inf`` masks one). ``saved`` collects each slice's (head columns,
+    ``e``, ``den``, ``att``) for a backward pass."""
+    dh = q.shape[-1] // n_heads
+    scale = math.sqrt(dh)
+    for j in range(n_heads):
+        cols = (Ellipsis, slice(j * dh, (j + 1) * dh))
+        k_t, v_j = k[cols].swapaxes(-1, -2), v[cols]
+        for lo in range(0, q.shape[-2], step):
+            at = (Ellipsis, slice(lo, lo + step), cols[1])
+            s = (q[at] @ k_t) / scale + neg
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            den = e.sum(axis=-1, keepdims=True)
+            att = e / den
+            out[at] = att @ v_j
+            if saved is not None:
+                saved.append((cols, e, den, att))
 
 
 def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
@@ -368,23 +398,18 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
     ``(sum(lengths), d)`` projections and head ``j`` reads columns ``j * d /
     n_heads`` up to the next head's. Returns the heads side by side, before
     any output projection. Sets of similar length are padded into one block
-    and the padded keys masked."""
+    and the padded keys masked. Plain arrays are attended in slices of query
+    rows, so no score array holds more than ``ATTENTION_CELLS`` cells per
+    head; Tensor mode keeps each block's score arrays whole for backward."""
     args = (q, k, v)
     q_, k_, v_ = (detach(a) for a in args)
-    d = q_.shape[1]
-    dh = d // n_heads
-    scale = math.sqrt(dh)
     track = _any_tensor(args)
-    if len(lengths) == 1 and not track:
-        heads = []
-        for j in range(n_heads):
-            cols = (slice(None), slice(j * dh, (j + 1) * dh))
-            s = (q_[cols] @ k_[cols].T) / scale
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            heads.append((e / e.sum(axis=-1, keepdims=True)) @ v_[cols])
-        return heads[0] if n_heads == 1 else np.concatenate(heads, axis=1)
-    starts = _starts(lengths)
     out = np.empty_like(q_)
+    if len(lengths) == 1 and not track:
+        n = len(q_)
+        _attend_heads(q_, k_, v_, n_heads, 0.0, max(1, ATTENTION_CELLS // n), out)
+        return out
+    starts = _starts(lengths)
     blocks = []
     for sets, width in _length_classes(lengths):
         valid = np.arange(width) < lengths[sets][:, None]
@@ -393,23 +418,17 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
         src = starts[sets][:, None] + np.where(valid, np.arange(width), 0)
         q3, k3, v3 = q_[src], k_[src], v_[src]
         neg = np.where(valid, 0.0, -np.inf)[:, None, :]
-        heads, saved = [], []
-        for j in range(n_heads):
-            cols = (Ellipsis, slice(j * dh, (j + 1) * dh))
-            s = (q3[cols] @ np.swapaxes(k3[cols], 1, 2)) / scale + neg
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            den = e.sum(axis=-1, keepdims=True)
-            att = e / den
-            heads.append(att @ v3[cols])
-            if track:
-                saved.append((cols, e, den, att))
-        merged = heads[0] if n_heads == 1 else np.concatenate(heads, axis=2)
+        merged = np.empty(q3.shape)
+        step = width if track else max(1, ATTENTION_CELLS // (len(sets) * width))
+        saved = [] if track else None
+        _attend_heads(q3, k3, v3, n_heads, neg, step, merged, saved)
         out[src[valid]] = merged[valid]
         if track:
             blocks.append((src, valid, q3, k3, v3, saved))
     if not track:
         return out
     q_t, k_t, v_t = (_wrap(a) for a in args)
+    scale = math.sqrt(q_.shape[1] // n_heads)
 
     def back(g):
         g_q, g_k, g_v = (np.zeros_like(q_) for _ in range(3))

@@ -68,17 +68,8 @@ def _one_of(choices, convert=str):
     return parse
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(f"{text!r} is not one of 1/0/true/false/yes/no")
-
-
 # Config-file converter for each ``TrainConfig`` field type.
-_CONVERTERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool}
+_CONVERTERS = {"float": float, "int": int, "int | None": int}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -350,25 +350,6 @@ def _teacher_forced(state: OuterState, action: ActionRecord, config: D2snConfig)
 
 # -- replay: many sub-steps as one program ---------------------------------------------
 
-# Upper bound on the attention score cells of one replay or critic program:
-# the sum over its row sets of rows x rows (one score matrix per head, before
-# padding sets of similar length together, which at most quadruples it).
-# Longer inputs run in consecutive chunks that stay within it; one row set
-# larger than the bound is a chunk of its own.
-CHUNK_CELLS = 1 << 20
-
-
-def _chunks(sizes: list[int]):
-    """Consecutive (start, stop) runs of the row-set ``sizes`` whose summed
-    squared sizes stay within ``CHUNK_CELLS``."""
-    start, cells = 0, 0
-    for i, n in enumerate(sizes):
-        cells += max(n, 1) ** 2
-        if i > start and cells > CHUNK_CELLS:
-            yield start, i
-            start, cells = i, max(n, 1) ** 2
-    yield start, len(sizes)
-
 
 def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
                        params: D2snParams):
@@ -409,11 +390,10 @@ def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
 
 def replay(transitions, params: D2snParams):
     """Teacher-forced replay of recorded actions: every sub-step of every
-    ``(state, action)`` pair in one program (in consecutive chunks past
-    ``CHUNK_CELLS``). Returns ``(logp, step_logp, entropy)``: each
-    action's log-probability, the log-probabilities of all sub-steps in
-    order, and each action's summed head entropy. With Tensor parameters
-    (:func:`as_tensors`) they are differentiable."""
+    ``(state, action)`` pair in one program. Returns ``(logp, step_logp,
+    entropy)``: each action's log-probability, the log-probabilities of all
+    sub-steps in order, and each action's summed head entropy. With Tensor
+    parameters (:func:`as_tensors`) they are differentiable."""
     seg, agg_rows, infos, h, holds = [], [], [], [], []
     dec, enc_rows, pos = [], [], []
     for t, (state, action) in enumerate(transitions):
@@ -432,46 +412,27 @@ def replay(transitions, params: D2snParams):
             holds.append(not action.exhaustive)
     seg, dec, h, pos = (np.array(a, dtype=np.int64) for a in (seg, dec, h, pos))
     infos, holds = np.array(infos), np.array(holds, dtype=bool)
-    parts = []
-    for lo, hi in _chunks([len(r) for r in agg_rows]):
-        j0, j1 = np.searchsorted(dec, (lo, hi))
-        parts.append(_substep_log_probs(agg_rows[lo:hi], infos[lo:hi], h[lo:hi],
-                                        holds[lo:hi], dec[j0:j1] - lo, enc_rows[j0:j1],
-                                        pos[j0:j1], params))
-    if len(parts) == 1:
-        (step_lp, step_ent), = parts
-    else:
-        step_lp = concat([p[0] for p in parts])
-        step_ent = concat([p[1] for p in parts])
+    step_lp, step_ent = _substep_log_probs(agg_rows, infos, h, holds, dec, enc_rows, pos,
+                                           params)
     n = len(transitions)
     return segment_sum(step_lp, seg, n), step_lp, segment_sum(step_ent, seg, n)
 
 
-def log_prob(state: OuterState, action: ActionRecord, params: D2snParams,
-             want_entropy: bool = False):
+def log_prob(state: OuterState, action: ActionRecord, params: D2snParams):
     """Teacher-forced replay of one recorded action, the one-transition case
-    of :func:`replay`. Returns (total, per-step list) or (total, per-step,
-    entropy) when ``want_entropy``."""
-    logp, step_lp, entropy = replay([(state, action)], params)
-    per_step = [step_lp[k] for k in range(len(action.steps))]
-    if want_entropy:
-        return logp[0], per_step, entropy[0]
-    return logp[0], per_step
+    of :func:`replay`. Returns (total, per-step list)."""
+    logp, step_lp, _ = replay([(state, action)], params)
+    return logp[0], [step_lp[k] for k in range(len(action.steps))]
 
 
 def critic_values(states: list[OuterState], params: D2snParams):
     """State values of many outer states from the critic trunk in one
-    program (in consecutive chunks past ``CHUNK_CELLS``); the critic sees
-    only each state's pool and global info."""
+    program; the critic sees only each state's pool and global info."""
     P = params.tensors
-    parts = []
-    for lo, hi in _chunks([s.n_pairs for s in states]):
-        chunk = states[lo:hi]
-        G = _trunk([s.feature_matrix for s in chunk], params, critic=True)
-        inp = concat([G, np.array([s.global_info for s in chunk])], axis=1)
-        hid = tanh(inp @ P["v_w1"] + P["v_b1"])
-        parts.append((hid @ P["v_w2"] + P["v_b2"])[:, 0])
-    return parts[0] if len(parts) == 1 else concat(parts)
+    G = _trunk([s.feature_matrix for s in states], params, critic=True)
+    inp = concat([G, np.array([s.global_info for s in states])], axis=1)
+    hid = tanh(inp @ P["v_w1"] + P["v_b1"])
+    return (hid @ P["v_w2"] + P["v_b2"])[:, 0]
 
 
 def critic_value(state: OuterState, params: D2snParams):
@@ -516,10 +477,11 @@ class CheckpointError(ValueError):
 
 def load_checkpoint(path) -> tuple[D2snParams, dict]:
     """Read a container written by :func:`save_checkpoint`. A short read, a
-    malformed header, or tensor names and shapes other than those
-    ``init_params`` gives the stored config all raise :class:`CheckpointError`.
-    Tensors prefixed ``opt_`` (optimizer moments in resume snapshots) are read
-    but not checked against the architecture."""
+    malformed header, tensor names and shapes other than those
+    ``init_params`` gives the stored config, or a NaN or infinite entry all
+    raise :class:`CheckpointError`. Tensors prefixed ``opt_`` (optimizer
+    moments in resume snapshots) are read but not checked against the
+    architecture."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -551,6 +513,9 @@ def load_checkpoint(path) -> tuple[D2snParams, dict]:
             count = int(np.prod(shape)) if ndim else 1
             buf = read(8 * count, f"tensor {name}")
             tensors[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+    bad = next((n for n, t in tensors.items() if not np.isfinite(t).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"{path}: tensor {bad} holds a non-finite value")
     params = D2snParams(cfg, tensors)
     if params.param_count != param_count:
         raise CheckpointError(f"{path}: parameter count mismatch")

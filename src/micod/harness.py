@@ -186,7 +186,7 @@ def check_network_fits(net: D2snConfig, source: str,
                             f"d_feat={N_PAIR_FEATURES}")
 
 
-def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> list[dict]:
+def cmd_eval(plan: EvalPlan, out_csv: str) -> list[dict]:
     """Run every (policy, dataset, seed) episode; per-run rows first, then a
     mean and std aggregate block per policy and taxonomy cell."""
     policies = [(spec, policy_factory(spec, plan.reward_mode)) for spec in plan.policies]
@@ -217,7 +217,7 @@ def cmd_eval(plan: EvalPlan, out_csv: str, include_wallclock: bool = True) -> li
                 rows.append({"kind": "run", "policy": spec.id, "level": level,
                              "capacity_bin": cap, "dataset": os.path.basename(path),
                              "seed": seed, **report.to_flat_dict(),
-                             "wallclock": wall if include_wallclock else ""})
+                             "wallclock": wall})
 
     rows.extend(_aggregate_rows(rows))
     _write_rows(out_csv, rows)

@@ -47,9 +47,7 @@ class TrainConfig:
     episodes_per_iter: int = 8
     entropy_coef: float = 0.01
     grad_clip: float = 0.5
-    normalize_adv: bool = True
     update_sample_size: int | None = None  # cap on replays per epoch
-    force_exhaustive: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -91,8 +89,7 @@ class Trajectory:
 
 
 def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
-                     rng: np.random.Generator,
-                     force_exhaustive: bool = False) -> list[Trajectory]:
+                     rng: np.random.Generator) -> list[Trajectory]:
     """Roll episodes under the current parameters. Inner sub-transitions carry
     no reward of their own; one record per batch stores the shared reward, the
     sampled action and its total log-probability. The critic values every
@@ -108,7 +105,7 @@ def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
         total = 0.0
         done = False
         while not done:
-            action = sample_action(state, params, ep_rng, force_exhaustive=force_exhaustive)
+            action = sample_action(state, params, ep_rng)
             reward, nxt, done = env.finalize_batch(action.selected, action.held)
             visited.append((state, action, reward))
             total += reward
@@ -199,10 +196,9 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
     if not flat:
         return {"transitions": 0, **IDLE_DIAGNOSTICS}
 
-    if cfg.normalize_adv:
-        a = np.array([x[1] for x in flat])
-        mu, sd = a.mean(), a.std()
-        flat = [(rec, (adv - mu) / (sd + 1e-8), tgt) for (rec, adv, tgt) in flat]
+    a = np.array([x[1] for x in flat])
+    mu, sd = a.mean(), a.std()
+    flat = [(rec, (adv - mu) / (sd + 1e-8), tgt) for (rec, adv, tgt) in flat]
 
     actor_names = params.actor_names()
     critic_names = params.critic_names()
@@ -341,8 +337,7 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
             return DispatchEnv(_ds[seed % len(_ds)], reward_mode=mode, seed=seed)
 
         t_rollout = time.monotonic()
-        trajectories = collect_rollouts(factory, params, cfg.episodes_per_iter, rng,
-                                        force_exhaustive=cfg.force_exhaustive)
+        trajectories = collect_rollouts(factory, params, cfg.episodes_per_iter, rng)
         episode_counter += len(trajectories)
         t_update = time.monotonic()
         if cfg.lr != 0.0:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from micod import d2sn
+from micod import autodiff, d2sn
 from micod.autodiff import (Tensor, _length_classes, asum, concat, detach, exp, log,
                             log_softmax, log_softmax_vec, masked_attention, masked_gru_scan,
                             segment_sum, sigmoid, tanh, where)
@@ -368,13 +369,63 @@ def test_masked_attention_bitwise_equals_graph_and_matches_each_set(n_heads):
                                        rtol=1e-12, atol=1e-15)
 
 
-def test_length_classes_pad_within_a_factor_of_two():
+def test_length_classes_pad_within_a_factor_of_two(monkeypatch):
     lengths = np.array([1, 9, 4, 5, 72, 36, 37, 2, 1])
-    classes = _length_classes(lengths)
-    assert sorted(np.concatenate([sets for sets, _ in classes]).tolist()) == list(range(9))
-    for sets, width in classes:
-        assert width == lengths[sets].max() and 2 * lengths[sets].min() > width
-    assert [w for _, w in classes] == [72, 36, 9, 4, 2, 1]
+    for bound, widths in ((autodiff.ATTENTION_CELLS, [72, 36, 9, 4, 2, 1]),
+                          (64, [72, 37, 36, 9, 5, 2, 1])):
+        monkeypatch.setattr(autodiff, "ATTENTION_CELLS", bound)
+        classes = _length_classes(lengths)
+        assert sorted(np.concatenate([sets for sets, _ in classes]).tolist()) == list(range(9))
+        for sets, width in classes:
+            assert width == lengths[sets].max() and 2 * lengths[sets].min() > width
+            # a set wider than the bound is a group of its own
+            assert len(sets) * width ** 2 <= bound or len(sets) == 1
+        assert [w for _, w in classes] == widths
+
+
+# With ATTENTION_CELLS patched to 64, one set of n rows is attended
+# max(1, 64 // n) query rows at a time: the whole set at n = 7 and 8, two
+# slices at n = 9.
+@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_one_set_attention_in_query_slices(monkeypatch, n, n_heads):
+    arrays = att_arrays(n, seed=40 + n)
+    one_set = partial(masked_attention, n_heads=n_heads, lengths=np.array([n]))
+    whole = one_set(**arrays)
+    monkeypatch.setattr(autodiff, "ATTENTION_CELLS", 64)
+    sliced = one_set(**arrays)
+    if 64 // n >= n:
+        assert_bitwise(sliced, whole)
+    else:
+        np.testing.assert_allclose(sliced, whole, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_split_groups_agree_in_numpy_and_tensor_mode(monkeypatch, n_heads):
+    arrays = att_arrays(ROWS, seed=11)
+    weight = np.random.default_rng(12).normal(size=(ROWS, 8))
+    fused = partial(masked_attention, n_heads=n_heads, lengths=LENGTHS)
+    val, grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
+    # groups [7], [5], [4], [3, 2], [1]; numpy mode slices the sets of 7 and 5
+    monkeypatch.setattr(autodiff, "ATTENTION_CELLS", 20)
+    split_val, split_grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
+    for got in (split_val, fused(**arrays)):
+        np.testing.assert_allclose(got, val, rtol=1e-12, atol=1e-15)
+    for name in ATT_INPUTS:
+        np.testing.assert_allclose(split_grads[name], grads[name], rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("lengths", [[3000], [2, 3000, 1]])
+def test_attention_memory_stays_within_the_bound(lengths):
+    # one score matrix of 3,000 rows is 69 MiB; a slice of the bound is 8 MiB
+    arrays = att_arrays(sum(lengths), d=32, seed=13)
+    tracemalloc.start()
+    try:
+        masked_attention(**arrays, n_heads=2, lengths=np.array(lengths))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -445,9 +496,9 @@ def _network_grads(monkeypatch, fused: bool):
     action = d2sn.ActionRecord(steps=[(0, 0), (0, 3), (0, 5), (1, None)], selected=[0, 3, 5],
                                held=[], exhaustive=False, logp=0.0)
     tensors = d2sn.as_tensors(params)
-    lp, _, ent = d2sn.log_prob(state, action, tensors, want_entropy=True)
+    lp, _, ent = d2sn.replay([(state, action)], tensors)
     v = d2sn.critic_value(state, tensors)
-    (lp * 0.7 + ent * 0.3 + v * v).backward()
+    (lp[0] * 0.7 + ent[0] * 0.3 + v * v).backward()
     return {n: t.grad for n, t in tensors.tensors.items()}
 
 

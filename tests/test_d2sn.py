@@ -390,6 +390,17 @@ def test_checkpoint_tensor_names_and_shapes_must_match_config(tmp_path, params):
     assert loaded.tensors["opt_m_emb_w"].shape == (3, 5)
 
 
+@pytest.mark.parametrize("name", ["cq_b", "opt_m_emb_w"])
+def test_checkpoint_rejects_non_finite_tensor(tmp_path, params, name):
+    from micod.d2sn import CheckpointError
+    tensors = dict(params.tensors, opt_m_emb_w=np.zeros((3, 5)))
+    tensors[name] = tensors[name].copy()
+    tensors[name][0, 1] = np.inf
+    save_checkpoint(D2snParams(params.config, tensors), tmp_path / "inf.ckpt")
+    with pytest.raises(CheckpointError, match=f"tensor {name} "):
+        load_checkpoint(tmp_path / "inf.ckpt")
+
+
 def test_tensor_mode_matches_fast_mode(params):
     s = make_state([(1, 1), (2, 2), (3, 1)], seed=51)
     a = sample_action(s, params, np.random.default_rng(9))

@@ -69,7 +69,7 @@ def test_golden_eval_csv(tmp_path, monkeypatch):
                     "init.ckpt")
     plan = EvalPlan(policies=[parse_policy_id(p) for p in POLICIES],
                     dataset_paths=["L2_400.jsonl"], seeds=[0])
-    cmd_eval(plan, "out.csv", include_wallclock=False)
+    cmd_eval(plan, "out.csv")
     assert _without_wallclock("out.csv") == GOLDEN_EVAL_CSV
 
 

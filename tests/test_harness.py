@@ -10,6 +10,7 @@ from micod.core import Driver, EpisodeConfig, Location, Order
 from micod.harness import (EvalPlan, PolicySpec, UsageError, cmd_eval, cmd_generate,
                            cmd_report, make_policy, parse_policy_id, run_episode)
 from micod.scenario import Dataset, ScenarioSpec, generate, save
+from test_golden import _without_wallclock
 
 
 def small_dataset(path, seed=0):
@@ -162,9 +163,9 @@ def test_cmd_eval_byte_deterministic(tmp_path):
     plan = EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=[ds_path],
                     seeds=[0, 1], reward_mode="TDI")
     out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
-    cmd_eval(plan, out1, include_wallclock=False)
-    cmd_eval(plan, out2, include_wallclock=False)
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    cmd_eval(plan, out1)
+    cmd_eval(plan, out2)
+    assert _without_wallclock(out1) == _without_wallclock(out2)
 
 
 def test_cmd_eval_missing_dataset(tmp_path):
@@ -340,6 +341,37 @@ def test_cli_eval_truncated_checkpoint_is_data_error(tmp_path):
     rc = main(["eval", "--policy", f"d2sn({ckpt})", "--dataset", ds_path, "--seeds", "1",
                "--out", str(tmp_path / "o.csv")])
     assert rc == EXIT_DATA
+
+
+def test_cli_non_finite_checkpoint_is_data_error(tmp_path, capsys, monkeypatch):
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    params = init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0)
+    params.tensors["hold_b2"][0, 0] = np.nan
+    params.tensors["cq_b"][0, 1] = np.inf
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(params, ckpt)
+    out = tmp_path / "o.csv"
+    rc = main(["eval", "--policy", f"d2sn({ckpt})", "--dataset", ds_path, "--seeds", "1",
+               "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "tensor hold_b2" in capsys.readouterr().err
+    assert not out.exists()
+    # a resume snapshot whose optimizer moments went non-finite
+    params = init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0)
+    params.tensors["opt_v_emb_w"] = np.full(params.tensors["emb_w"].shape, np.nan)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(params, out_dir / "latest.ckpt", extra={"iteration": 1})
+    _no_rollouts(monkeypatch)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {ds_path}\niterations = 2\nepisodes_per_iter = 1\n")
+    rc = main(["train", "--config", str(config), "--out", str(out_dir), "--resume"])
+    assert rc == EXIT_DATA
+    assert "tensor opt_v_emb_w" in capsys.readouterr().err
 
 
 def test_cli_train_smoke(tmp_path):
@@ -565,7 +597,7 @@ def _train_with(tmp_path, settings):
     ("update_sample_size", "-1"), ("update_sample_size", "0"),
     ("clip_eps", "nan"), ("grad_clip", "nan"), ("gamma", "nan"),
     ("lr", "nan"), ("lr", "-0.001"), ("entropy_coef", "inf"),
-    ("force_exhaustive", "ture"), ("normalize_adv", "2"), ("reward_mode", "XYZ"),
+    ("reward_mode", "XYZ"),
 ])
 def test_cli_train_bad_setting_is_data_error(tmp_path, capsys, key, value):
     rc, config, out_dir = _train_with(tmp_path, {key: value})
@@ -576,9 +608,12 @@ def test_cli_train_bad_setting_is_data_error(tmp_path, capsys, key, value):
 
 
 def test_cli_train_removed_critic_target_is_unknown_key(tmp_path, capsys):
-    rc, config, _ = _train_with(tmp_path, {"critic_target": "current"})
-    assert rc == EXIT_DATA
-    assert "critic_target" in capsys.readouterr().err
+    # keys of TrainConfig fields that were removed
+    for key, value in (("critic_target", "current"), ("force_exhaustive", "1"),
+                       ("normalize_adv", "0")):
+        rc, config, _ = _train_with(tmp_path, {key: value})
+        assert rc == EXIT_DATA
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_train_accepts_every_train_config_field(tmp_path):
@@ -587,8 +622,7 @@ def test_cli_train_accepts_every_train_config_field(tmp_path):
     from micod.trainer import TrainConfig
 
     settings = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    settings.update(iterations=1, episodes_per_iter=1, epochs=1, update_sample_size=2,
-                    normalize_adv="YES", force_exhaustive="False")
+    settings.update(iterations=1, episodes_per_iter=1, epochs=1, update_sample_size=2)
     assert set(settings) == {f.name for f in dataclasses.fields(TrainConfig)}
     rc, _, out_dir = _train_with(tmp_path, settings)
     assert rc == EXIT_OK

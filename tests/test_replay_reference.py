@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from micod import d2sn
+from micod import autodiff, d2sn
 from micod.autodiff import Tensor, asum, concat, detach, exp, log_softmax_vec, tanh
 from micod.d2sn import ActionRecord, D2snConfig, as_tensors, critic_values, init_params, replay
 from micod.env import IllegalActionError, OuterState, mask_after_selection
@@ -238,9 +238,9 @@ def test_replay_values_equal_reference(batch):
     assert_close(step_lp, ref_steps, 1e-12)
     # the one-transition forms
     state, action = batch[0]
-    total, steps, entropy = d2sn.log_prob(state, action, PARAMS, want_entropy=True)
+    total, steps = d2sn.log_prob(state, action, PARAMS)
     assert_close(total, logp[0], 1e-12)
-    assert_close(entropy, ent[0], 1e-12)
+    assert_close(replay([(state, action)], PARAMS)[2][0], ent[0], 1e-12)
     assert_close(steps, step_lp[:len(action.steps)], 1e-12)
     assert_close(d2sn.critic_value(state, PARAMS), values[0], 1e-12)
 
@@ -256,18 +256,18 @@ def test_minibatch_gradients_equal_reference_sum(batch):
 def test_chunked_minibatch_equals_one_block(batch):
     whole = replay(batch, PARAMS)
     whole_grads = batched_grads(batch)
-    saved = d2sn.CHUNK_CELLS
-    d2sn.CHUNK_CELLS = 8  # chunks of a few small sub-steps or states
+    saved = autodiff.ATTENTION_CELLS
+    autodiff.ATTENTION_CELLS = 8  # blocks of a few tiny sets; wider sets alone, sliced
     try:
-        chunked = replay(batch, PARAMS)
-        chunked_values = critic_values([s for s, _ in batch], PARAMS)
-        chunked_grads = batched_grads(batch)
+        split = replay(batch, PARAMS)
+        split_values = critic_values([s for s, _ in batch], PARAMS)
+        split_grads = batched_grads(batch)
     finally:
-        d2sn.CHUNK_CELLS = saved
-    for got, want in zip(chunked, whole):
+        autodiff.ATTENTION_CELLS = saved
+    for got, want in zip(split, whole):
         assert_close(got, want, 1e-12)
-    assert_close(chunked_values, critic_values([s for s, _ in batch], PARAMS), 1e-12)
-    assert_same_grads(chunked_grads, whole_grads)
+    assert_close(split_values, critic_values([s for s, _ in batch], PARAMS), 1e-12)
+    assert_same_grads(split_grads, whole_grads)
 
 
 def _corruptions(state, action):

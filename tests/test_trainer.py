@@ -135,15 +135,15 @@ def test_ppo_update_improves_logp_of_positive_advantage_action():
     trajs = collect_rollouts(lambda s: DispatchEnv(ds, seed=s), params, 1,
                              np.random.default_rng(2))
     traj = trajs[0]
-    rec = next(s for s in traj.steps if s.state.n_pairs > 0)
-    single = Trajectory(steps=[rec], episode_reward=rec.reward)
-    cfg = TrainConfig(lr=1e-3, epochs=1, minibatch_size=1, entropy_coef=0.0,
-                      normalize_adv=False)
+    rec, other = [s for s in traj.steps if s.state.n_pairs > 0][:2]
+    cfg = TrainConfig(lr=1e-3, epochs=1, minibatch_size=2, entropy_coef=0.0)
     before, _ = log_prob(rec.state, rec.action, params)
     before = to_float(before)
-    # force a positive advantage: reward 1 with zero critic at init
-    rec.reward = 1.0
-    ppo_update([single], params, cfg, make_adam(params, params.actor_names()),
+    # rewards 1 and -1 with zero critic at init: advantages normalize to +1
+    # for rec and -1 for the other transition
+    rec.reward, other.reward = 1.0, -1.0
+    pair = [Trajectory(steps=[r], episode_reward=r.reward) for r in (rec, other)]
+    ppo_update(pair, params, cfg, make_adam(params, params.actor_names()),
                make_adam(params, params.critic_names()), np.random.default_rng(0))
     after, _ = log_prob(rec.state, rec.action, params)
     assert to_float(after) > before
