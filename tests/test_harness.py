@@ -598,6 +598,8 @@ def _train_with(tmp_path, settings):
     ("clip_eps", "nan"), ("grad_clip", "nan"), ("gamma", "nan"),
     ("lr", "nan"), ("lr", "-0.001"), ("entropy_coef", "inf"),
     ("reward_mode", "XYZ"),
+    # keys of removed TrainConfig fields: rejected as unknown keys
+    ("force_exhaustive", "ture"), ("normalize_adv", "2"),
 ])
 def test_cli_train_bad_setting_is_data_error(tmp_path, capsys, key, value):
     rc, config, out_dir = _train_with(tmp_path, {key: value})
