@@ -5,9 +5,9 @@ A :class:`Tensor` wraps a float64 ndarray and records the operation graph;
 traversal (the graphs here get thousands of nodes deep, so no recursion) and
 consumes the graph as it goes.
 
-The module-level helpers (``exp``, ``concat``, ``log_softmax_vec``, ...)
-dispatch on argument type: given plain ndarrays they run straight numpy, given
-Tensors they build graph nodes. Network code written against these helpers
+The module-level helpers (``exp``, ``concat``, ``log_softmax``, ...) dispatch
+on argument type: given plain ndarrays they run straight numpy, given Tensors
+they build graph nodes. Network code written against these helpers
 therefore runs identically in a fast no-gradient mode and a differentiable
 mode. The network's two loops, the GRU scan and multi-head attention, are
 fused ops of this kind over the row sets of many sub-steps at once
@@ -86,13 +86,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def detach(self) -> np.ndarray:
-        return self.data
 
     def reshape(self, shape):
         out = Tensor(self.data.reshape(shape), (self,))
@@ -189,11 +182,6 @@ class Tensor:
         out._backward = lambda g: self._accum(g * val)
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accum(g / self.data)
-        return out
-
     def tanh(self):
         val = np.tanh(self.data)
         out = Tensor(val, (self,))
@@ -227,10 +215,6 @@ def _wrap(x) -> Tensor:
 
 def exp(x):
     return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
 
 
 def tanh(x):
@@ -273,13 +257,6 @@ def detach(x):
 
 def to_float(x) -> float:
     return float(x.data) if isinstance(x, Tensor) else float(x)
-
-
-def log_softmax_vec(x):
-    """Log-softmax of a flat vector (stable, detached max shift)."""
-    shift = float(detach(x).max())
-    z = x - shift
-    return z - log(asum(exp(z)))
 
 
 # -- batched ops over row sets ------------------------------------------------------

@@ -34,8 +34,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{line_no}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise DataError(f"{path}:{line_no}: key {key!r} is set again")
+            out[key] = value
     return out
 
 
@@ -55,18 +57,30 @@ def _setting(flag, cfgd: dict[str, str], path: str, key: str, convert, default=N
         return default
     try:
         return convert(cfgd[key])
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise DataError(f"{path}: bad value for {key}: {exc}") from exc
+
+
+def _ranged(convert, ok, rule: str):
+    """``convert``, rejecting values that fail ``ok``: a flag's ``type=`` and
+    the ``_setting`` converter of the config key alike."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _one_of(choices, convert=str):
     """Converter for ``_setting`` that also rejects values outside ``choices``."""
-    def parse(text: str):
-        if convert(text) not in choices:
-            raise ValueError(f"{text!r} is not one of {list(choices)}")
-        return convert(text)
-    return parse
+    return _ranged(convert, lambda value: value in choices, f"one of {list(choices)}")
 
+
+_count = _ranged(int, lambda n: n >= 1, ">= 1")
+_seed = _ranged(int, lambda n: n >= 0, ">= 0")
+_scale = _ranged(float, lambda x: 0 < x <= 1, "in (0, 1]")
 
 # Config-file converter for each ``TrainConfig`` field type.
 _CONVERTERS = {"float": float, "int": int, "int | None": int}
@@ -81,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="key = value file supplying defaults for the flags below")
     g.add_argument("--level", choices=sorted(RATIO_BANDS))
     g.add_argument("--bin", type=int, choices=CAPACITY_BINS)
-    g.add_argument("--count", type=int, default=None)
-    g.add_argument("--scale", type=float, default=None)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--count", type=_count, default=None)
+    g.add_argument("--scale", type=_scale, default=None)
+    g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--out", default=None)
 
     e = sub.add_parser("eval", help="evaluate policies over datasets and seeds")
@@ -94,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "d2sn(ckpt), d2sn_h-(ckpt))")
     e.add_argument("--dataset", action="append", default=None,
                    help="dataset file or glob; repeatable")
-    e.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    e.add_argument("--seed", type=int, default=None, help="first seed")
+    e.add_argument("--seeds", type=_count, default=None, help="number of seeds")
+    e.add_argument("--seed", type=_seed, default=None, help="first seed")
     e.add_argument("--mode", choices=["APD", "TDI"], default=None)
     e.add_argument("--out", default=None, help="results CSV path")
 
@@ -176,15 +190,13 @@ def main(argv: list[str] | None = None) -> int:
             _check_keys(cfgd, args.config, ("level", "bin", "count", "scale", "seed", "out"))
             level = _setting(args.level, cfgd, args.config, "level", _one_of(RATIO_BANDS))
             cap = _setting(args.bin, cfgd, args.config, "bin", _one_of(CAPACITY_BINS, int), 0)
-            count = _setting(args.count, cfgd, args.config, "count", int, 1)
-            scale = _setting(args.scale, cfgd, args.config, "scale", float, 1.0)
-            seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)
+            count = _setting(args.count, cfgd, args.config, "count", _count, 1)
+            scale = _setting(args.scale, cfgd, args.config, "scale", _scale, 1.0)
+            seed = _setting(args.seed, cfgd, args.config, "seed", _seed, 0)
             out = args.out or cfgd.get("out")
             if not level or not cap or not out:
                 raise UsageError("generate needs --level, --bin and --out "
                                  "(flags or config entries)")
-            if not 0 < scale <= 1:
-                raise UsageError(f"--scale must be in (0, 1], got {scale}")
             paths = cmd_generate(level, cap, count, scale, seed, out)
             from .scenario import classify, load
             for path in paths:
@@ -200,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
                                          cfgd.get("policies", "").split(",") if p.strip()]
             dataset_args = args.dataset or [p.strip() for p in
                                             cfgd.get("datasets", "").split(",") if p.strip()]
-            n_seeds = _setting(args.seeds, cfgd, args.config, "seeds", int, 30)
-            first_seed = _setting(args.seed, cfgd, args.config, "seed", int, 0)
+            n_seeds = _setting(args.seeds, cfgd, args.config, "seeds", _count, 30)
+            first_seed = _setting(args.seed, cfgd, args.config, "seed", _seed, 0)
             mode = _setting(args.mode, cfgd, args.config, "mode", _one_of(("APD", "TDI")), "TDI")
             out = args.out or cfgd.get("out")
             if not policy_ids or not dataset_args or not out:

@@ -35,8 +35,8 @@ from operator import add
 
 import numpy as np
 
-from .autodiff import (Tensor, asum, concat, exp, log_softmax, log_softmax_vec, masked_attention,
-                       masked_gru_scan, segment_sum, tanh, where)
+from .autodiff import (Tensor, asum, concat, exp, log_softmax, masked_attention, masked_gru_scan,
+                       segment_sum, tanh, where)
 from .env import N_PAIR_FEATURES, IllegalActionError, OuterState, mask_after_selection
 
 
@@ -214,28 +214,29 @@ def aggregate(substate_features: np.ndarray, params: D2snParams):
     return _trunk([substate_features], params)
 
 
+def _two_layer(G, infos: np.ndarray, P: dict, prefix: str):
+    """``tanh([G, infos] @ w1 + b1) @ w2 + b2`` over S context and global info
+    rows, with the hold head's (``hold_``) or the critic's (``v_``) weights."""
+    hid = tanh(concat([G, infos], axis=1) @ P[prefix + "w1"] + P[prefix + "b1"])
+    return hid @ P[prefix + "w2"] + P[prefix + "b2"]
+
+
 def _hold_log_probs(G, infos: np.ndarray, P: dict):
     """Hold head: log (p_continue, p_hold) of S sub-steps, ``(S, 2)``, from
     their context rows ``G`` and global info rows ``infos``."""
-    hid = tanh(concat([G, infos], axis=1) @ P["hold_w1"] + P["hold_b1"])
-    logits = (hid @ P["hold_w2"] + P["hold_b2"]).reshape((-1,))
+    logits = _two_layer(G, infos, P, "hold_").reshape((-1,))
     return log_softmax(logits, np.full(len(infos), 2)).reshape((len(infos), 2))
 
 
-# The decision head has two forms. Sampling scores one sub-step's rows as
-# ``k @ q.T`` and normalises with ``log_softmax_vec``; replay scores the rows
-# of many sub-steps as elementwise products summed per row and normalises
-# with the set ``log_softmax``. The two sum in different orders, so their
-# logits differ in the last bit for about 60% of rows; the sampling form
-# keeps sampled actions and their recorded log-probabilities as they were.
-
-
-def _decision_logits(R, G, global_info: np.ndarray, P: dict, d_model: int):
-    """Decision head, sampling form: one scaled dot-product logit per row of
-    ``R``."""
-    q = concat([G, global_info.reshape(1, -1)], axis=1) @ P["cq_w"] + P["cq_b"]
-    k = R @ P["ck_w"] + P["ck_b"]
-    return (k @ q.T)[:, 0] / math.sqrt(d_model)
+def _decision_log_probs(R, lengths: np.ndarray, G, infos: np.ndarray, P: dict,
+                        d_model: int):
+    """Decision head: log-probabilities within each of S stacked row sets of
+    latent rows ``R``, scored by a scaled dot product with the query of set
+    s's context row ``G[s]`` and global info row ``infos[s]``."""
+    q = concat([G, infos], axis=1) @ P["cq_w"] + P["cq_b"]
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    logits = asum((R @ P["ck_w"] + P["ck_b"]) * q[owner], axis=1) / math.sqrt(d_model)
+    return log_softmax(logits, lengths)
 
 
 @dataclass
@@ -307,7 +308,8 @@ def sample_action(state: OuterState, params: D2snParams, rng: np.random.Generato
             step_logps.append(lp_h)
             return h, None
         R = encode(feats[remaining], params)
-        lp_vec = log_softmax_vec(_decision_logits(R, G, info, P, params.config.d_model))
+        lp_vec = _decision_log_probs(R, np.array([len(remaining)]), G, info, P,
+                                     params.config.d_model)
         cum = np.cumsum(np.exp(lp_vec))
         pos = min(int(np.searchsorted(cum, rng.random(), side="right")), len(remaining) - 1)
         step_logps.append(lp_h + lp_vec[pos])
@@ -376,15 +378,10 @@ def _substep_log_probs(agg_rows, global_info, h, holds, dec, enc_rows, pos,
         ent = segment_sum(-asum(exp(lp_hold) * lp_hold, axis=1) * on, used, n)
     if len(dec):
         R, lengths = _encode(enc_rows, params)
-        # the decision head's replay form (see _decision_logits)
-        q = (concat([G[np.searchsorted(used, dec)], global_info[dec]], axis=1) @ P["cq_w"]
-             + P["cq_b"])
-        owner = np.repeat(np.arange(len(dec)), lengths)
-        logits = (asum((R @ P["ck_w"] + P["ck_b"]) * q[owner], axis=1)
-                  / math.sqrt(params.config.d_model))
-        lp_dec = log_softmax(logits, lengths)
+        lp_dec = _decision_log_probs(R, lengths, G[np.searchsorted(used, dec)], global_info[dec],
+                                     P, params.config.d_model)
         lp = lp + segment_sum(lp_dec[np.cumsum(lengths) - lengths + pos], dec, n)
-        ent = ent + segment_sum(-(exp(lp_dec) * lp_dec), dec[owner], n)
+        ent = ent + segment_sum(-(exp(lp_dec) * lp_dec), np.repeat(dec, lengths), n)
     return lp, ent
 
 
@@ -428,11 +425,8 @@ def log_prob(state: OuterState, action: ActionRecord, params: D2snParams):
 def critic_values(states: list[OuterState], params: D2snParams):
     """State values of many outer states from the critic trunk in one
     program; the critic sees only each state's pool and global info."""
-    P = params.tensors
     G = _trunk([s.feature_matrix for s in states], params, critic=True)
-    inp = concat([G, np.array([s.global_info for s in states])], axis=1)
-    hid = tanh(inp @ P["v_w1"] + P["v_b1"])
-    return (hid @ P["v_w2"] + P["v_b2"])[:, 0]
+    return _two_layer(G, np.array([s.global_info for s in states]), params.tensors, "v_")[:, 0]
 
 
 def critic_value(state: OuterState, params: D2snParams):
@@ -501,7 +495,7 @@ def load_checkpoint(path) -> tuple[D2snParams, dict]:
             cfg = D2snConfig(**header["config"])
             names = [str(n) for n in header["names"]]
             param_count = int(header["param_count"])
-            extra = header.get("extra", {})
+            extra = dict(header.get("extra", {}))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
         tensors: dict[str, np.ndarray] = {}

@@ -3,7 +3,8 @@
 Credit assignment follows the batch structure: every sub-action in a batch
 shares that batch's reward and advantage, and the policy ratio multiplies the
 sub-step probabilities via teacher-forced replay. The critic regresses on
-advantage-plus-value targets with its own parameters and optimizer state.
+advantage-plus-value targets with its own parameters; one Adam optimizer
+steps both networks, each with its own gradient clipping.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import asum, detach, exp, to_float, where
-from .d2sn import (ActionRecord, D2snConfig, D2snParams, as_tensors, critic_values,
-                   init_params, load_checkpoint, replay, sample_action, save_checkpoint)
+from .d2sn import (ActionRecord, CheckpointError, D2snConfig, D2snParams, as_tensors,
+                   critic_values, init_params, load_checkpoint, replay, sample_action,
+                   save_checkpoint)
 # One-state forms of the network, also reachable here: tools that wrap the
 # package's layers by name (perfbench/tracing.py) look them up on this module.
 from .d2sn import critic_value, log_prob  # noqa: F401
@@ -163,13 +165,15 @@ class AdamState:
             tensors[n] -= lr * (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.eps)
 
 
-def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def _clipped_grads(leaves: dict, names: list[str], max_norm: float) -> dict[str, np.ndarray]:
+    """The gradients of the leaves ``names`` that got one, scaled together to
+    a total norm of at most ``max_norm`` when that is positive."""
+    grads = {n: leaves[n].grad for n in names if leaves[n].grad is not None}
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / (total + 1e-12)
-        for n in grads:
-            grads[n] = grads[n] * scale
-    return total
+        grads = {n: g * scale for n, g in grads.items()}
+    return grads
 
 
 # Diagnostics of an update phase that replays nothing (no transitions, or
@@ -179,8 +183,7 @@ IDLE_DIAGNOSTICS = {"policy_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
 
 
 def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainConfig,
-               actor_opt: AdamState, critic_opt: AdamState,
-               rng: np.random.Generator) -> dict:
+               opt: AdamState, rng: np.random.Generator) -> dict:
     """One optimization phase over freshly collected trajectories. Mutates
     ``params`` in place and returns diagnostics: the transition count, the
     losses of the last minibatch, and over every replay the mean entropy,
@@ -200,8 +203,6 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
     mu, sd = a.mean(), a.std()
     flat = [(rec, (adv - mu) / (sd + 1e-8), tgt) for (rec, adv, tgt) in flat]
 
-    actor_names = params.actor_names()
-    critic_names = params.critic_names()
     ratios: list[float] = []
     log_ratios: list[float] = []
     entropies: list[float] = []
@@ -245,13 +246,10 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                     "critic_loss": to_float(critic_loss)}
             total.backward()
 
-            leaves = tensors.tensors
-            a_grads = {n: leaves[n].grad for n in actor_names if leaves[n].grad is not None}
-            c_grads = {n: leaves[n].grad for n in critic_names if leaves[n].grad is not None}
-            _clip_grads(a_grads, cfg.grad_clip)
-            _clip_grads(c_grads, cfg.grad_clip)
-            actor_opt.step(params.tensors, a_grads, cfg.lr)
-            critic_opt.step(params.tensors, c_grads, cfg.lr)
+            grads = {}
+            for names in (params.actor_names(), params.critic_names()):  # clipped apart
+                grads.update(_clipped_grads(tensors.tensors, names, cfg.grad_clip))
+            opt.step(params.tensors, grads, cfg.lr)
 
     ratios_arr = np.array(ratios) if ratios else np.array([1.0])
     eps = cfg.clip_eps
@@ -273,8 +271,41 @@ class TrainResult:
     checkpoint_path: str | None = None
 
 
-def make_adam(params: D2snParams, names: list[str]) -> AdamState:
+def make_adam(params: D2snParams) -> AdamState:
+    """One optimizer over every parameter, the actor's first."""
+    names = params.actor_names() + params.critic_names()
     return AdamState(names, [params.tensors[n].shape for n in names])
+
+
+def _load_resume(path: str, rng: np.random.Generator):
+    """The parameters, optimizer and ``(iteration, episodes, wallclock)``
+    counters of the resume snapshot at ``path``, with ``rng`` set to its
+    generator state. A missing or malformed entry raises
+    :class:`CheckpointError` naming it."""
+    loaded, extra = load_checkpoint(path)
+    params = D2snParams(loaded.config,
+                        {n: t for n, t in loaded.tensors.items() if not n.startswith("opt_")})
+    opt = make_adam(params)
+    for n in opt.m:
+        for key, moments in (("opt_m_" + n, opt.m), ("opt_v_" + n, opt.v)):
+            if key not in loaded.tensors or loaded.tensors[key].shape != moments[n].shape:
+                raise CheckpointError(f"{path}: missing or misshapen optimizer tensor {key}")
+            moments[n] = loaded.tensors[key]
+
+    def entry(key: str, kinds=(int,)):
+        value = extra.get(key)
+        if isinstance(value, bool) or not isinstance(value, kinds) or not 0 <= value < math.inf:
+            raise CheckpointError(f"{path}: missing or malformed resume entry {key!r}: {value!r}")
+        return value
+
+    opt.t = entry("opt_t")
+    counters = entry("iteration"), entry("episodes"), float(entry("wallclock", (int, float)))
+    try:
+        rng.bit_generator.state = extra["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: missing or malformed resume entry 'rng_state': "
+                              f"{exc!r}") from exc
+    return params, opt, counters
 
 
 def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
@@ -307,26 +338,10 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
 
     if params is None:
         params = init_params(net_config, seed=cfg.seed)
-    actor_opt = make_adam(params, params.actor_names())
-    critic_opt = make_adam(params, params.critic_names())
+    opt = make_adam(params)
 
     if resume and latest and os.path.exists(latest):
-        loaded, extra = load_checkpoint(latest)
-        opt_state = {n: t for n, t in loaded.tensors.items() if n.startswith("opt_")}
-        params = D2snParams(loaded.config,
-                            {n: t for n, t in loaded.tensors.items() if not n.startswith("opt_")})
-        for opt in (actor_opt, critic_opt):
-            for n in opt.m:
-                if "opt_m_" + n in opt_state:
-                    opt.m[n] = opt_state["opt_m_" + n]
-                    opt.v[n] = opt_state["opt_v_" + n]
-        actor_opt.t = int(extra.get("actor_opt_t", 0))
-        critic_opt.t = int(extra.get("critic_opt_t", 0))
-        start_iter = int(extra.get("iteration", 0))
-        episode_counter = int(extra.get("episodes", 0))
-        wallclock_before = float(extra.get("wallclock", 0.0))
-        if "rng_state" in extra:
-            rng.bit_generator.state = extra["rng_state"]
+        params, opt, (start_iter, episode_counter, wallclock_before) = _load_resume(latest, rng)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -341,7 +356,7 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         episode_counter += len(trajectories)
         t_update = time.monotonic()
         if cfg.lr != 0.0:
-            diag = ppo_update(trajectories, params, cfg, actor_opt, critic_opt, rng)
+            diag = ppo_update(trajectories, params, cfg, opt, rng)
         else:
             diag = {"transitions": sum(len(t) for t in trajectories), **IDLE_DIAGNOSTICS}
         t_done = time.monotonic()
@@ -367,16 +382,14 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         if out_dir:
             t_checkpoint = time.monotonic()
             snap = D2snParams(params.config, dict(params.tensors))
-            for opt in (actor_opt, critic_opt):
-                for n in opt.m:
-                    snap.tensors["opt_m_" + n] = opt.m[n]
-                    snap.tensors["opt_v_" + n] = opt.v[n]
+            for n in opt.m:
+                snap.tensors["opt_m_" + n] = opt.m[n]
+                snap.tensors["opt_v_" + n] = opt.v[n]
             save_checkpoint(snap, latest, extra={
                 "iteration": it + 1,
                 "episodes": episode_counter,
                 "wallclock": row["wallclock"],
-                "actor_opt_t": actor_opt.t,
-                "critic_opt_t": critic_opt.t,
+                "opt_t": opt.t,
                 "rng_state": rng.bit_generator.state,
             })
             row["checkpoint_s"] = time.monotonic() - t_checkpoint

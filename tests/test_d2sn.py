@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from micod import d2sn
-from micod.autodiff import Tensor, log_softmax_vec, to_float
-from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_logits,
+from micod.autodiff import Tensor, to_float
+from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_log_probs,
                         _hold_log_probs, aggregate, as_tensors, critic_value, encode,
                         init_params, load_checkpoint, log_prob, replay, sample_action,
                         save_checkpoint)
@@ -170,8 +170,9 @@ def test_decision_head_permutation_covariance():
 
     def probs(feats):
         R = encode(feats, p_rand)
-        logits = _decision_logits(R, G, s.global_info, p_rand.tensors, CFG.d_model)
-        return np.exp(log_softmax_vec(logits))
+        return np.exp(_decision_log_probs(R, np.array([len(feats)]), G,
+                                          s.global_info.reshape(1, -1), p_rand.tensors,
+                                          CFG.d_model))
 
     perm = np.array([3, 1, 0, 2])
     assert np.allclose(probs(s.feature_matrix[perm]), probs(s.feature_matrix)[perm],
@@ -220,6 +221,45 @@ def test_sample_then_replay_logp_matches(params):
         assert to_float(total) == pytest.approx(a.logp, abs=1e-12)
         for got, want in zip(per_step, a.step_logps):
             assert to_float(got) == pytest.approx(want, abs=1e-12)
+
+
+def test_sampled_step_logps_match_replay_with_random_heads():
+    # the default width, heads that are not uniform, pools of 1 to 40 rows
+    p_rand = init_params(D2snConfig(d_feat=12, g_dim=8), seed=9, zero_heads=False)
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n_ids = int(rng.integers(1, 11))
+        ids = np.unique(rng.integers(0, n_ids, size=(int(rng.integers(1, 41)), 2)), axis=0)
+        s = make_state([tuple(r) for r in ids.tolist()], seed=trial)
+        a = sample_action(s, p_rand, rng, force_exhaustive=trial % 4 == 0)
+        _, step_lp, _ = replay([(s, a)], p_rand)
+        np.testing.assert_allclose(a.step_logps, step_lp, rtol=1e-12, atol=0)
+
+
+def test_sampling_replay_and_critic_share_their_heads(params, monkeypatch):
+    calls = []
+
+    def spy(name):
+        fn = getattr(d2sn, name)
+
+        def wrapped(*args):
+            calls.append(args[-1] if name == "_two_layer" else name)  # the prefix
+            return fn(*args)
+        return wrapped
+
+    for name in ("_decision_log_probs", "_two_layer"):
+        monkeypatch.setattr(d2sn, name, spy(name))
+    s = make_state([(1, 1), (2, 2)], seed=5)
+    sample_action(s, params, np.random.default_rng(0), force_exhaustive=True)
+    assert calls == ["hold_", "_decision_log_probs"] * 2 + ["hold_"]
+    calls.clear()
+    action = ActionRecord(steps=[(0, 0), (1, None)], selected=[0], held=[1],
+                          exhaustive=False, logp=0.0)
+    replay([(s, action)], params)
+    assert calls == ["hold_", "_decision_log_probs"]
+    calls.clear()
+    critic_value(s, params)
+    assert calls == ["v_"]
 
 
 def test_immediate_hold_logp_is_hold_probability(params):
@@ -365,7 +405,9 @@ def test_checkpoint_bad_header_raises_checkpoint_error(tmp_path, params):
     header = json.loads(blob[16:16 + hlen])
     for bad in (b"{not json", json.dumps([1, 2]).encode(),
                 json.dumps({k: v for k, v in header.items() if k != "names"}).encode(),
-                json.dumps({**header, "config": {"d_model": 7}}).encode()):
+                json.dumps({**header, "config": {"d_model": 7}}).encode(),
+                json.dumps({**header, "extra": 5}).encode(),
+                json.dumps({**header, "extra": [1, 2]}).encode()):
         (tmp_path / "bad.ckpt").write_bytes(blob[:12] + struct.pack("<I", len(bad)) + bad
                                             + blob[16 + hlen:])
         with pytest.raises(CheckpointError):

@@ -374,6 +374,53 @@ def test_cli_non_finite_checkpoint_is_data_error(tmp_path, capsys, monkeypatch):
     assert "tensor opt_v_emb_w" in capsys.readouterr().err
 
 
+def _resume_snapshot(tmp_path, drop=(), **extra):
+    """A train config over a small dataset and a run directory whose
+    ``latest.ckpt`` is a well-formed snapshot after one iteration, less the
+    entries and tensors named in ``drop`` and with ``extra`` entries changed."""
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = tmp_path / "d.jsonl"
+    ds = small_dataset(str(ds_path))
+    params = init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0)
+    for name in list(params.tensors):
+        params.tensors["opt_m_" + name] = np.zeros_like(params.tensors[name])
+        params.tensors["opt_v_" + name] = np.zeros_like(params.tensors[name])
+    state = {"iteration": 1, "episodes": 1, "wallclock": 0.5, "opt_t": 1,
+             "rng_state": np.random.default_rng(0).bit_generator.state, **extra}
+    for key in drop:
+        state.pop(key, None)
+        params.tensors.pop(key, None)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(params, out_dir / "latest.ckpt", extra=state)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {ds_path}\niterations = 1\nepisodes_per_iter = 1\n")
+    return ["train", "--config", str(config), "--out", str(out_dir), "--resume"]
+
+
+def test_cli_train_resumes_a_complete_snapshot(tmp_path):
+    assert main(_resume_snapshot(tmp_path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("named", ["rng_state", "opt_t", "iteration", "episodes", "wallclock",
+                                   "opt_m_emb_w", "opt_v_v_b2"])
+def test_cli_train_resume_requires_every_state_entry(tmp_path, capsys, monkeypatch, named):
+    _no_rollouts(monkeypatch)
+    assert main(_resume_snapshot(tmp_path, drop=(named,))) == EXIT_DATA
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("named,value", [("rng_state", 5), ("iteration", "x"), ("opt_t", -1),
+                                         ("episodes", 1.5), ("wallclock", "later")])
+def test_cli_train_resume_rejects_malformed_state_entry(tmp_path, capsys, monkeypatch, named,
+                                                        value):
+    _no_rollouts(monkeypatch)
+    assert main(_resume_snapshot(tmp_path, **{named: value})) == EXIT_DATA
+    assert named in capsys.readouterr().err
+
+
 def test_cli_train_smoke(tmp_path):
     data_dir = str(tmp_path / "data")
     main(["generate", "--level", "L1", "--bin", "400", "--count", "1",
@@ -546,6 +593,46 @@ def test_cli_train_negative_seed_is_data_error(tmp_path, capsys):
     assert not (out_dir / "curves.csv").exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("generate", "count", "0"), ("generate", "scale", "5"), ("generate", "scale", "0"),
+    ("generate", "seed", "-1"), ("eval", "seeds", "0"), ("eval", "seed", "-4"),
+])
+def test_cli_config_out_of_range_value_is_data_error(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    if command == "generate":
+        cfg.write_text(f"level = L1\nbin = 400\n{key} = {value}\nout = {out}\n")
+    else:
+        ds_path = str(tmp_path / "d.jsonl")
+        small_dataset(ds_path)
+        cfg.write_text(f"policies = km\ndatasets = {ds_path}\n{key} = {value}\nout = {out}\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"bad value for {key}" in err and "--" not in err
+    assert not out.exists()
+
+
+def test_cli_config_repeated_key_is_data_error(tmp_path, capsys):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    out = tmp_path / "out"
+    configs = {
+        "generate": f"seed = 1\nlevel = L1\nbin = 400\nseed = 2\nout = {out}\n",
+        "eval": f"policies = km\ndatasets = {ds_path}\nseeds = 1\nseeds = 2\nout = {out}\n",
+        "train": f"datasets = {ds_path}\niterations = 1\n\n# again\niterations = 2\n",
+    }
+    lines = {"generate": 4, "eval": 4, "train": 5}
+    for command, text in configs.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "train" else [])
+        assert main(argv) == EXIT_DATA, command
+        err = capsys.readouterr().err
+        key = {"generate": "seed", "eval": "seeds", "train": "iterations"}[command]
+        assert f"{cfg}:{lines[command]}:" in err and repr(key) in err, err
+        assert not out.exists()
+
+
 def test_cli_generate_config_unknown_level_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(f"level = L9\nbin = 400\nout = {tmp_path / 'out'}\n")
@@ -587,8 +674,9 @@ def _train_with(tmp_path, settings):
     """Run ``micod train`` on a small dataset with extra config lines."""
     small_dataset(str(tmp_path / "d.jsonl"))
     config = tmp_path / "train.cfg"
-    lines = [f"datasets = {tmp_path / 'd.jsonl'}", "iterations = 1", "episodes_per_iter = 1"]
-    config.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+    settings = {"iterations": 1, "episodes_per_iter": 1, **settings}
+    lines = [f"datasets = {tmp_path / 'd.jsonl'}"] + [f"{k} = {v}" for k, v in settings.items()]
+    config.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "run"
     return main(["train", "--config", str(config), "--out", str(out_dir)]), config, out_dir
 

@@ -5,13 +5,16 @@ actions one transition at a time: it re-encodes the remaining rows and
 re-aggregates the sub-state at every sub-step, reads the two heads and sums
 the sub-step log-probabilities and entropies left to right.
 ``reference_critic_value`` is the one-state critic. Both build their graphs
-through the per-row GRU and per-head attention loops of ``test_autodiff``.
+through the per-row GRU and per-head attention loops of ``test_autodiff``,
+and the heads keep their own copies: the decision head as ``k @ q.T`` and a
+vector log-softmax, so no head code is shared with what they check.
 
 ``d2sn.replay`` and ``d2sn.critic_values`` run a whole minibatch as one
 program, so their sums run in another order: values must agree within 1e-12
 and parameter gradients within 1e-10, relative.
 """
 
+import math
 from functools import reduce
 from operator import add
 
@@ -20,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from micod import autodiff, d2sn
-from micod.autodiff import Tensor, asum, concat, detach, exp, log_softmax_vec, tanh
+from micod.autodiff import Tensor, asum, concat, detach, exp, tanh
 from micod.d2sn import ActionRecord, D2snConfig, as_tensors, critic_values, init_params, replay
 from micod.env import IllegalActionError, OuterState, mask_after_selection
-from test_autodiff import reference_attention, reference_gru_scan
+from test_autodiff import reference_attention, reference_gru_scan, reference_log_softmax_vec
 
 CFG = D2snConfig(d_model=8, n_heads=2, d_feat=12, g_dim=5)
 PARAMS = init_params(CFG, seed=7, zero_heads=False)
@@ -69,7 +72,14 @@ def reference_aggregate(substate_features, params):
 def reference_hold_log_probs(G, global_info, P):
     inp = concat([G, global_info.reshape(1, -1)], axis=1)
     hid = tanh(inp @ P["hold_w1"] + P["hold_b1"])
-    return log_softmax_vec((hid @ P["hold_w2"] + P["hold_b2"])[0, :])
+    return reference_log_softmax_vec((hid @ P["hold_w2"] + P["hold_b2"])[0, :])
+
+
+def reference_decision_logits(R, G, global_info, P, d_model):
+    """One scaled dot-product logit per row of ``R``, as ``k @ q.T``."""
+    q = concat([G, global_info.reshape(1, -1)], axis=1) @ P["cq_w"] + P["cq_b"]
+    k = R @ P["ck_w"] + P["ck_b"]
+    return (k @ q.T)[:, 0] / math.sqrt(d_model)
 
 
 def reference_log_prob(state, action, params):
@@ -105,8 +115,8 @@ def reference_log_prob(state, action, params):
                 raise IllegalActionError(f"row {action.steps[k][1]} not available")
             step_logps.append(lp_h)
             break
-        lp_vec = log_softmax_vec(d2sn._decision_logits(R, G, state.global_info, P,
-                                                       params.config.d_model))
+        lp_vec = reference_log_softmax_vec(reference_decision_logits(R, G, state.global_info, P,
+                                                                     params.config.d_model))
         c_pool = action.steps[k][1]
         if c_pool is None:
             raise IllegalActionError("recorded continue step carries no selection")

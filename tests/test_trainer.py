@@ -143,8 +143,7 @@ def test_ppo_update_improves_logp_of_positive_advantage_action():
     # for rec and -1 for the other transition
     rec.reward, other.reward = 1.0, -1.0
     pair = [Trajectory(steps=[r], episode_reward=r.reward) for r in (rec, other)]
-    ppo_update(pair, params, cfg, make_adam(params, params.actor_names()),
-               make_adam(params, params.critic_names()), np.random.default_rng(0))
+    ppo_update(pair, params, cfg, make_adam(params), np.random.default_rng(0))
     after, _ = log_prob(rec.state, rec.action, params)
     assert to_float(after) > before
 
@@ -155,8 +154,7 @@ def test_ppo_update_diagnostics_ratio_one_clipfrac_zero():
     trajs = collect_rollouts(lambda s: DispatchEnv(ds, seed=s), params, 2,
                              np.random.default_rng(3))
     cfg = TrainConfig(lr=0.0, epochs=1, minibatch_size=512, entropy_coef=0.0)
-    diag = ppo_update(trajs, params, cfg, make_adam(params, params.actor_names()),
-                      make_adam(params, params.critic_names()), np.random.default_rng(0))
+    diag = ppo_update(trajs, params, cfg, make_adam(params), np.random.default_rng(0))
     assert diag["mean_ratio"] == pytest.approx(1.0, abs=1e-8)
     assert diag["clip_fraction"] == 0.0
     assert diag["entropy"] >= 0.0 and np.isfinite(diag["entropy"])
@@ -174,7 +172,7 @@ def test_critic_regression_loss_decreases_on_fixed_batch():
         return sum((to_float(critic_value(rec.state, params)) - tgt) ** 2
                    for rec, tgt in zip(steps, targets)) / len(steps)
 
-    critic_opt = make_adam(params, params.critic_names())
+    critic_opt = make_adam(params)
     losses = [critic_loss()]
     for _ in range(30):
         tensors = as_tensors(params)
@@ -278,8 +276,7 @@ def test_ppo_update_approx_kl_is_mean_negative_log_ratio():
     trajs = collect_rollouts(lambda s: DispatchEnv(ds, seed=s), params, 2,
                              np.random.default_rng(3))
     cfg = TrainConfig(lr=1e-2, epochs=3, minibatch_size=2, entropy_coef=0.0)
-    diag = ppo_update(trajs, params, cfg, make_adam(params, params.actor_names()),
-                      make_adam(params, params.critic_names()), np.random.default_rng(0))
+    diag = ppo_update(trajs, params, cfg, make_adam(params), np.random.default_rng(0))
     assert np.isfinite(diag["approx_kl"])
     assert diag["approx_kl"] != 0.0  # later epochs replay under updated parameters
     # -log r >= 1 - r, so the mean of -log r is at least 1 - mean(r)
@@ -307,6 +304,5 @@ def test_non_finite_loss_aborts_with_diagnostics():
     params.tensors["v_w2"][:] = np.nan  # poison the critic
     cfg = TrainConfig(lr=1e-3, epochs=1, minibatch_size=8)
     with pytest.raises(TrainerError) as err:
-        ppo_update(trajs, params, cfg, make_adam(params, params.actor_names()),
-                   make_adam(params, params.critic_names()), np.random.default_rng(0))
+        ppo_update(trajs, params, cfg, make_adam(params), np.random.default_rng(0))
     assert "critic_loss" in err.value.diagnostics
