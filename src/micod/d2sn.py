@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -52,10 +53,12 @@ class D2snConfig:
     g_dim: int = 100
 
     def __post_init__(self):
+        widths = (self.d_model, self.n_heads, self.d_feat, self.g_dim)
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+                   for w in widths):
+            raise ValueError(f"all dimensions must be integers >= 1, got {widths}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if min(self.d_model, self.n_heads, self.d_feat, self.g_dim) < 1:
-            raise ValueError("all dimensions must be positive")
 
 
 @dataclass

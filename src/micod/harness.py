@@ -129,25 +129,21 @@ class D2snPolicy:
         return action.selected, action.held
 
 
-def policy_factory(spec: PolicySpec, reward_mode: str):
-    """Zero-arg callable making fresh policy instances. Checkpoints load (and
-    fail) here, before any episode runs; instances are per-episode because
-    fixed-delay and network policies carry per-episode state."""
+def make_policy(spec: PolicySpec, reward_mode: str):
+    """One policy instance for every episode of ``spec``: :func:`run_episode`
+    resets its per-episode state. Checkpoints load (and fail) here, before
+    any episode runs."""
     task = task_of(reward_mode)
     if spec.kind in ("greedy", "km", "gs"):
-        return lambda: OneShotPolicy(spec.kind, task)
+        return OneShotPolicy(spec.kind, task)
     if spec.kind == "fixed_delay":
-        return lambda: matching.FixedDelayPolicy(spec.delay, task=task)
+        return matching.FixedDelayPolicy(spec.delay, task=task)
     if spec.kind in ("d2sn", "d2sn_h-"):
         if not spec.checkpoint or not os.path.exists(spec.checkpoint):
             raise DataError(f"checkpoint not found: {spec.checkpoint}")
         params, _ = load_checkpoint(spec.checkpoint)
-        return lambda: D2snPolicy(params, force_exhaustive=(spec.kind == "d2sn_h-"))
+        return D2snPolicy(params, force_exhaustive=(spec.kind == "d2sn_h-"))
     raise UsageError(f"unhandled policy kind {spec.kind!r}")
-
-
-def make_policy(spec: PolicySpec, reward_mode: str):
-    return policy_factory(spec, reward_mode)()
 
 
 def run_episode(dataset: Dataset, policy, seed: int,
@@ -189,7 +185,10 @@ def check_network_fits(net: D2snConfig, source: str,
 def cmd_eval(plan: EvalPlan, out_csv: str) -> list[dict]:
     """Run every (policy, dataset, seed) episode; per-run rows first, then a
     mean and std aggregate block per policy and taxonomy cell."""
-    policies = [(spec, policy_factory(spec, plan.reward_mode)) for spec in plan.policies]
+    out_dir = os.path.dirname(out_csv) or "."
+    if not os.path.isdir(out_dir):
+        raise DataError(f"output directory not found: {out_dir} (for {out_csv})")
+    policies = [(spec, make_policy(spec, plan.reward_mode)) for spec in plan.policies]
 
     datasets: list[tuple[str, Dataset, str, str]] = []
     for path in plan.dataset_paths:
@@ -201,18 +200,17 @@ def cmd_eval(plan: EvalPlan, out_csv: str) -> list[dict]:
         datasets.append((path, ds, str(level), str(cap)))
 
     # A network that does not fit a dataset fails here, before any episode.
-    for spec, factory in policies:
-        policy = factory()
+    for spec, policy in policies:
         if isinstance(policy, D2snPolicy):
             check_network_fits(policy.params.config, f"checkpoint {spec.checkpoint}",
                                [(path, ds) for path, ds, _, _ in datasets])
 
     rows = []
-    for spec, factory in policies:
+    for spec, policy in policies:
         for path, ds, level, cap in datasets:
             for seed in plan.seeds:
                 t0 = time.monotonic()
-                report, _ = run_episode(ds, factory(), seed, plan.reward_mode)
+                report, _ = run_episode(ds, policy, seed, plan.reward_mode)
                 wall = time.monotonic() - t0
                 rows.append({"kind": "run", "policy": spec.id, "level": level,
                              "capacity_bin": cap, "dataset": os.path.basename(path),
@@ -277,34 +275,29 @@ def cmd_report(results_csv: str, out_path: str | None = None) -> str:
     human-readable table goes there and a machine-readable aggregate CSV is
     written next to it with suffix ``.agg.csv``."""
     rows = read_results_csv(results_csv)
-    runs = [r for r in rows if r["kind"] == "run"]
+    runs = runs_with_floats([r for r in rows if r["kind"] == "run"])
+    cell_stats = _aggregate_rows(runs)
     buf = io.StringIO()
     if not runs:
         buf.write("warning: no run rows found; empty report\n")
     else:
-        cells = sorted({(r["level"], r["capacity_bin"]) for r in runs})
-        policies = sorted({r["policy"] for r in runs})
-        for level, cap in cells:
+        for level, cap in sorted({(r["level"], r["capacity_bin"]) for r in runs}):
             buf.write(f"== cell level={level} capacity<={cap} ==\n")
             buf.write(f"{'policy':<28} {'tdi (mean+/-std)':<24} {'apd':<24} {'cr':<20}\n")
-            for pol in policies:
-                sel = [r for r in runs
-                       if r["policy"] == pol and r["level"] == level
-                       and r["capacity_bin"] == cap]
-                if not sel:
-                    continue
-                buf.write(f"{pol:<28} {_mstd(sel, 'tdi'):<24} "
-                          f"{_mstd(sel, 'apd'):<24} {_mstd(sel, 'cr'):<20}\n")
+            for mean, std in zip(cell_stats[::2], cell_stats[1::2]):  # mean then std per group
+                if (mean["level"], mean["capacity_bin"]) == (level, cap):
+                    buf.write(f"{mean['policy']:<28} {_mstd(mean, std, 'tdi'):<24} "
+                              f"{_mstd(mean, std, 'apd'):<24} {_mstd(mean, std, 'cr'):<20}\n")
             buf.write("\n")
         buf.write("== hold behavior (means over all runs per policy) ==\n")
         buf.write(f"{'policy':<28} {'hold_apd':<12} {'hold_o':<12} {'hold_tdi':<12} "
                   f"{'hold_d':<12} {'order_sr':<12} {'driver_sr':<12}\n")
-        for pol in policies:
-            sel = [r for r in runs if r["policy"] == pol]
-            vals = [_mean(sel, c) for c in ("hold_apd_ratio", "hold_o_ratio",
-                                            "hold_tdi_ratio", "hold_d_ratio",
-                                            "order_sr", "driver_sr")]
-            buf.write(f"{pol:<28} " + " ".join(f"{v:<12}" for v in vals) + "\n")
+        policy_stats = _aggregate_rows([{**r, "level": "", "capacity_bin": ""} for r in runs])
+        for mean in policy_stats[::2]:
+            vals = ["-" if mean[c] is None else f"{mean[c]:.4g}"
+                    for c in ("hold_apd_ratio", "hold_o_ratio", "hold_tdi_ratio",
+                              "hold_d_ratio", "order_sr", "driver_sr")]
+            buf.write(f"{mean['policy']:<28} " + " ".join(f"{v:<12}" for v in vals) + "\n")
     text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
@@ -313,7 +306,7 @@ def cmd_report(results_csv: str, out_path: str | None = None) -> str:
         with open(agg_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["policy", "level", "capacity_bin", "stat"] + _METRIC_COLS)
-            for row in _aggregate_rows(runs_with_floats(runs)):
+            for row in cell_stats:
                 writer.writerow([row["policy"], row["level"], row["capacity_bin"],
                                  row["kind"]] + [_fmt(row[c]) for c in _METRIC_COLS])
     return text
@@ -330,20 +323,11 @@ def runs_with_floats(runs: list[dict]) -> list[dict]:
     return typed
 
 
-def _floats(rows: list[dict], col: str) -> list[float]:
-    return [float(r[col]) for r in rows if r[col] not in ("", None)]
-
-
-def _mstd(rows: list[dict], col: str) -> str:
-    vals = _floats(rows, col)
-    if not vals:
+def _mstd(mean: dict, std: dict, col: str) -> str:
+    """``col`` of one aggregate mean row and its std row, as mean+/-std."""
+    if mean[col] is None:
         return "-"
-    return f"{np.mean(vals):.4g}+/-{np.std(vals):.2g}"
-
-
-def _mean(rows: list[dict], col: str) -> str:
-    vals = _floats(rows, col)
-    return f"{np.mean(vals):.4g}" if vals else "-"
+    return f"{mean[col]:.4g}+/-{std[col]:.2g}"
 
 
 def cmd_generate(level: str, capacity_bin: int, count: int, scale: float,

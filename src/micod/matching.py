@@ -58,18 +58,12 @@ class CostMatrix:
 def greedy_match(m: CostMatrix) -> Assignment:
     """Repeatedly take the best remaining eligible entry, ties broken by
     (row, col) ascending."""
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return []
-    cost = m.cost_space()
-    entries = [(cost[r, c], r, c)
-               for r in range(rows) for c in range(cols)
-               if not m.forbidden[r, c]]
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    rr, cc = np.nonzero(~m.forbidden)  # row-major, so a stable sort keeps (row, col) ties
+    order = np.argsort(m.cost_space()[rr, cc], kind="stable")
     used_r: set[int] = set()
     used_c: set[int] = set()
     out: Assignment = []
-    for _, r, c in entries:
+    for r, c in zip(rr[order].tolist(), cc[order].tolist()):
         if r in used_r or c in used_c:
             continue
         out.append((r, c))
@@ -153,18 +147,15 @@ def prefs_from_cost(m: CostMatrix) -> tuple[list[list[int]], list[list[int]]]:
     """Strict preference lists over eligible partners derived from the matrix:
     better entry preferred, ties broken by partner index."""
     rows, cols = m.shape
-    cost = m.cost_space()
-    order_prefs = []
-    for r in range(rows):
-        eligible = [c for c in range(cols) if not m.forbidden[r, c]]
-        eligible.sort(key=lambda c: (cost[r, c], c))
-        order_prefs.append(eligible)
-    driver_prefs = []
-    for c in range(cols):
-        eligible = [r for r in range(rows) if not m.forbidden[r, c]]
-        eligible.sort(key=lambda r: (cost[r, c], r))
-        driver_prefs.append(eligible)
-    return order_prefs, driver_prefs
+    rr, cc = np.nonzero(~m.forbidden)
+    cost = m.cost_space()[rr, cc]
+    sides = []
+    for owner, partner, n_owners in ((rr, cc, rows), (cc, rr, cols)):
+        partners = partner[np.lexsort((partner, cost, owner))].tolist()
+        # cut by per-owner counts: np.split would give one piece for no owners
+        ends = np.cumsum(np.bincount(owner, minlength=n_owners)).tolist()
+        sides.append([partners[start:end] for start, end in zip([0] + ends[:-1], ends)])
+    return sides[0], sides[1]
 
 
 def gs_match(order_prefs: list[list[int]], driver_prefs: list[list[int]]) -> Assignment:

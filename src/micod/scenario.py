@@ -259,9 +259,12 @@ def load(path) -> Dataset:
                                                          f"got {scale}")
                     meta = rec.get("meta", {}) or {}
                     continue
+                if kind in ("driver", "order") and type(rec["id"]) is not int:
+                    raise DatasetParseError(line_no, f"{kind} id must be an integer, "
+                                                     f"got {rec['id']!r}")
                 if kind == "driver":
                     ev = Driver(
-                        id=int(rec["id"]),
+                        id=rec["id"],
                         position=Location(float(rec["x"]), float(rec["y"])),
                         appear_time=float(rec["appear_time"]),
                         offline_hazard=float(rec["offline_hazard"]),
@@ -269,7 +272,7 @@ def load(path) -> Dataset:
                     points.append((line_no, ev.position))
                 elif kind == "order":
                     ev = Order(
-                        id=int(rec["id"]),
+                        id=rec["id"],
                         origin=Location(float(rec["ox"]), float(rec["oy"])),
                         destination=Location(float(rec["dx"]), float(rec["dy"])),
                         price=float(rec["price"]),

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -357,6 +359,18 @@ def test_config_requires_divisible_heads():
         D2snConfig(d_model=10, n_heads=3)
 
 
+@pytest.mark.parametrize("widths", [{"n_heads": 0}, {"d_model": 32.0}, {"g_dim": 2.5},
+                                    {"n_heads": True}, {"d_feat": -12}, {"g_dim": "8"}])
+def test_config_widths_must_be_integers_of_at_least_one(widths):
+    with pytest.raises(ValueError, match="integers >= 1"):
+        D2snConfig(**widths)
+
+
+def test_config_accepts_numpy_integer_widths():
+    cfg = D2snConfig(d_model=np.int64(16), n_heads=np.int32(2), g_dim=np.int64(8))
+    assert init_params(cfg).tensors["emb_w"].shape == (cfg.d_feat, 16)
+
+
 def test_all_params_finite(params):
     for name, t in params.tensors.items():
         assert np.all(np.isfinite(t)), name
@@ -394,24 +408,33 @@ def test_checkpoint_truncation_raises_checkpoint_error(tmp_path, params):
             load_checkpoint(tmp_path / "cut.ckpt")
 
 
-def test_checkpoint_bad_header_raises_checkpoint_error(tmp_path, params):
-    import json
-    import struct
-    from micod.d2sn import CheckpointError
-    path = tmp_path / "a.ckpt"
-    save_checkpoint(params, path)
+def rewrite_header(path, new_header) -> None:
+    """Replace the JSON header of the checkpoint at ``path`` with the bytes
+    ``new_header(header)`` returns for its parsed header."""
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<I", blob[12:16])
-    header = json.loads(blob[16:16 + hlen])
-    for bad in (b"{not json", json.dumps([1, 2]).encode(),
-                json.dumps({k: v for k, v in header.items() if k != "names"}).encode(),
-                json.dumps({**header, "config": {"d_model": 7}}).encode(),
-                json.dumps({**header, "extra": 5}).encode(),
-                json.dumps({**header, "extra": [1, 2]}).encode()):
-        (tmp_path / "bad.ckpt").write_bytes(blob[:12] + struct.pack("<I", len(bad)) + bad
-                                            + blob[16 + hlen:])
+    bad = new_header(json.loads(blob[16:16 + hlen]))
+    path.write_bytes(blob[:12] + struct.pack("<I", len(bad)) + bad + blob[16 + hlen:])
+
+
+def test_checkpoint_bad_header_raises_checkpoint_error(tmp_path, params):
+    from micod.d2sn import CheckpointError
+
+    def config(**widths):
+        return lambda h: json.dumps({**h, "config": {**h["config"], **widths}}).encode()
+
+    for new_header in (lambda h: b"{not json", lambda h: json.dumps([1, 2]).encode(),
+                       lambda h: json.dumps({k: v for k, v in h.items() if k != "names"}).encode(),
+                       lambda h: json.dumps({**h, "config": {"d_model": 7}}).encode(),
+                       lambda h: json.dumps({**h, "extra": 5}).encode(),
+                       lambda h: json.dumps({**h, "extra": [1, 2]}).encode(),
+                       config(n_heads=0), config(d_model=16.0), config(g_dim=2.5),
+                       config(n_heads=True)):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(params, path)
+        rewrite_header(path, new_header)
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "bad.ckpt")
+            load_checkpoint(path)
 
 
 def test_checkpoint_tensor_names_and_shapes_must_match_config(tmp_path, params):

@@ -176,6 +176,41 @@ def test_cmd_eval_missing_dataset(tmp_path):
         cmd_eval(plan, str(tmp_path / "out.csv"))
 
 
+def test_cmd_eval_missing_output_directory_runs_no_episode(tmp_path, capsys, monkeypatch):
+    import micod.harness
+    from micod.harness import DataError
+
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    episodes = []
+    monkeypatch.setattr(micod.harness, "run_episode", lambda *args: episodes.append(args))
+    out = str(tmp_path / "missing" / "r.csv")
+    plan = EvalPlan(policies=[PolicySpec(kind="km"), PolicySpec(kind="gs")],
+                    dataset_paths=[ds_path], seeds=[0, 1, 2])
+    with pytest.raises(DataError, match="missing"):
+        cmd_eval(plan, out)
+    rc = main(["eval", "--policy", "km", "--policy", "gs", "--dataset", ds_path,
+               "--seeds", "3", "--out", out])
+    assert rc == EXIT_DATA
+    assert out in capsys.readouterr().err
+    assert episodes == []
+
+
+def test_one_policy_instance_gives_the_reports_of_fresh_ones(tmp_path):
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    datasets = [generate(ScenarioSpec("L2", 400, seed=s, scale_factor=0.05)) for s in (0, 1)]
+    ckpt = str(tmp_path / "net.ckpt")
+    save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(datasets[0].config))), ckpt)
+    for spec in (parse_policy_id("fixed_delay(3)"), parse_policy_id(f"d2sn({ckpt})")):
+        shared = make_policy(spec, "TDI")
+        for ds in datasets:
+            for seed in (2, 0, 1):
+                fresh = make_policy(spec, "TDI")
+                assert run_episode(ds, shared, seed, "TDI") == run_episode(ds, fresh, seed, "TDI")
+
+
 # -- report ---------------------------------------------------------------------------
 
 def test_cmd_report_renders_tables(tmp_path):
@@ -237,6 +272,52 @@ def test_report_hand_checked_stats(tmp_path):
     text = cmd_report(path)
     assert "20+/-10" in text  # tdi mean 20, std 10
     assert "0.6+/-0.1" in text  # cr
+
+
+def test_cmd_report_tables_are_the_eval_aggregates(tmp_path):
+    paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    save(generate(ScenarioSpec("L2", 400, seed=0, scale_factor=0.05)), paths[0])
+    save(generate(ScenarioSpec("L4", 550, seed=1, scale_factor=0.05)), paths[1])
+    results = tmp_path / "results.csv"
+    cmd_eval(EvalPlan(policies=[PolicySpec(kind="km"), parse_policy_id("fixed_delay(3)")],
+                      dataset_paths=paths, seeds=[0, 1, 2], reward_mode="APD"), str(results))
+    with open(results, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:  # as cmd_eval writes an episode that completes no order
+        if row["policy"] == "km":
+            row["apd"] = row["hold_apd_ratio"] = ""
+    with open(results, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+    def shown(value, spec):
+        return "-" if value in ("", None) else f"{float(value):{spec}}"
+
+    tables = {}
+    for block in cmd_report(str(results)).strip().split("\n\n"):
+        title, _, *lines = block.splitlines()
+        tables[title] = {line.split()[0]: line.split()[1:] for line in lines}
+    cells = {(r["level"], r["capacity_bin"]) for r in rows}
+    assert len(cells) == 2
+    for level, cap in cells:
+        table = tables[f"== cell level={level} capacity<={cap} =="]
+        for policy in ("km", "fixed_delay(3)"):
+            mean, std = (next(r for r in rows if r["kind"] == stat and r["policy"] == policy
+                              and (r["level"], r["capacity_bin"]) == (level, cap))
+                         for stat in ("mean", "std"))
+            assert table[policy] == [
+                "-" if not mean[c] else f"{float(mean[c]):.4g}+/-{float(std[c]):.2g}"
+                for c in ("tdi", "apd", "cr")]
+        assert table["km"][1] == "-"
+    hold = tables["== hold behavior (means over all runs per policy) =="]
+    for policy in ("km", "fixed_delay(3)"):
+        runs = [r for r in rows if r["kind"] == "run" and r["policy"] == policy]
+        assert hold[policy] == [
+            shown(np.mean([float(r[c]) for r in runs]) if runs[0][c] else None, ".4g")
+            for c in ("hold_apd_ratio", "hold_o_ratio", "hold_tdi_ratio", "hold_d_ratio",
+                      "order_sr", "driver_sr")]
+    assert hold["km"][0] == "-"
 
 
 # -- generate --------------------------------------------------------------------------
@@ -341,6 +422,23 @@ def test_cli_eval_truncated_checkpoint_is_data_error(tmp_path):
     rc = main(["eval", "--policy", f"d2sn({ckpt})", "--dataset", ds_path, "--seeds", "1",
                "--out", str(tmp_path / "o.csv")])
     assert rc == EXIT_DATA
+
+
+def test_cli_eval_checkpoint_with_zero_heads_is_data_error(tmp_path, capsys):
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+    from test_d2sn import rewrite_header
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0), ckpt)
+    rewrite_header(ckpt, lambda h: json.dumps({**h, "config": {**h["config"], "n_heads": 0}})
+                   .encode())
+    rc = main(["eval", "--policy", f"d2sn({ckpt})", "--dataset", ds_path, "--seeds", "1",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_cli_non_finite_checkpoint_is_data_error(tmp_path, capsys, monkeypatch):

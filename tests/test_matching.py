@@ -141,6 +141,62 @@ def test_prefs_from_cost_orders_by_value_then_id():
     assert driver_prefs == [[0], [0], [0]]
 
 
+def reference_greedy_match(m):
+    """Dense loop over every (row, col) cell: the best remaining eligible
+    entry first, ties broken by (row, col)."""
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return []
+    cost = m.cost_space()
+    entries = [(cost[r, c], r, c)
+               for r in range(rows) for c in range(cols)
+               if not m.forbidden[r, c]]
+    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    used_r, used_c, out = set(), set(), []
+    for _, r, c in entries:
+        if r in used_r or c in used_c:
+            continue
+        out.append((r, c))
+        used_r.add(r)
+        used_c.add(c)
+    out.sort()
+    return out
+
+
+def reference_prefs_from_cost(m):
+    """Dense loops over every cell of each row and each column."""
+    rows, cols = m.shape
+    cost = m.cost_space()
+    order_prefs = []
+    for r in range(rows):
+        eligible = [c for c in range(cols) if not m.forbidden[r, c]]
+        eligible.sort(key=lambda c: (cost[r, c], c))
+        order_prefs.append(eligible)
+    driver_prefs = []
+    for c in range(cols):
+        eligible = [r for r in range(rows) if not m.forbidden[r, c]]
+        eligible.sort(key=lambda r: (cost[r, c], r))
+        driver_prefs.append(eligible)
+    return order_prefs, driver_prefs
+
+
+def test_greedy_and_prefs_equal_their_dense_reference_loops():
+    rng = np.random.default_rng(12)
+    for case in range(2400):
+        r, c = (int(n) for n in rng.integers(0, 9, size=2))
+        if case % 2:
+            values = rng.integers(-3, 4, size=(r, c)).astype(float)  # many ties, signed zeros
+        else:
+            values = rng.normal(size=(r, c))
+        if case % 3 == 0:
+            values = -values
+        forbidden = rng.random((r, c)) < rng.random()
+        m = CostMatrix(values, mode=("min", "max")[case // 2 % 2], forbidden=forbidden)
+        assert greedy_match(m) == reference_greedy_match(m), (m.values, m.forbidden, m.mode)
+        assert prefs_from_cost(m) == reference_prefs_from_cost(m), \
+            (m.values, m.forbidden, m.mode)
+
+
 def test_pool_cost_matrix_hand_instance():
     # rows: (order 5, driver 2), (order 3, driver 2), (order 5, driver 9)
     feats = np.zeros((3, N_PAIR_FEATURES))

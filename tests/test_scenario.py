@@ -212,6 +212,22 @@ def test_load_rejects_duplicate_ids_with_line(tmp_path, kind):
     assert f"duplicate {kind} id" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", ["driver", "order"])
+@pytest.mark.parametrize("bad_id", [0.7, True, "3"])
+def test_load_rejects_non_integer_ids_with_line(tmp_path, kind, bad_id):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    lines[at] = json.dumps({**json.loads(lines[at]), "id": bad_id})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == at + 1
+    assert f"{kind} id must be an integer" in str(err.value)
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
