@@ -49,11 +49,10 @@ class D2snConfig:
 
     d_model: int = 32
     n_heads: int = 2
-    d_feat: int = N_PAIR_FEATURES
     g_dim: int = 100
 
     def __post_init__(self):
-        widths = (self.d_model, self.n_heads, self.d_feat, self.g_dim)
+        widths = (self.d_model, self.n_heads, self.g_dim)
         if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
                    for w in widths):
             raise ValueError(f"all dimensions must be integers >= 1, got {widths}")
@@ -89,7 +88,7 @@ def init_params(cfg: D2snConfig, seed: int = 0, zero_heads: bool = True) -> D2sn
     ``zero_heads=False`` randomizes those layers too (useful when a test needs
     gradient flow through every parameter)."""
     rng = np.random.default_rng(seed)
-    d, f, g = cfg.d_model, cfg.d_feat, cfg.g_dim
+    d, f, g = cfg.d_model, N_PAIR_FEATURES, cfg.g_dim
     t: dict[str, np.ndarray] = {}
 
     def w(name: str, rows: int, cols: int, zero: bool = False):
@@ -349,7 +348,7 @@ def _teacher_forced(state: OuterState, action: ActionRecord, config: D2snConfig)
 
     walked = _walk(state, choose)
     if len(walked[0]) != len(recorded):
-        raise IllegalActionError("replay terminated at a different sub-step count")
+        raise IllegalActionError("replay ended at a different sub-step count")
     return walked
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matching, scenario
 from .d2sn import D2snConfig, D2snParams, load_checkpoint, sample_action
-from .env import N_PAIR_FEATURES, DispatchEnv, OuterState, global_info_dim
+from .env import DispatchEnv, OuterState, global_info_dim
 from .scenario import Dataset, ScenarioSpec
 from .simulator import MetricsReport
 
@@ -92,23 +92,19 @@ class EvalPlan:
             raise UsageError(f"seeds must be non-negative, got {min(self.seeds)}")
 
 
-def task_of(reward_mode: str) -> str:
-    return "distance" if reward_mode == "APD" else "price"
-
-
 class OneShotPolicy:
     """greedy / km / gs run on every batch's pool, holding nothing;
     unmatched rows are one-to-one leftovers, not deliberate deferrals."""
 
-    def __init__(self, solver: str, task: str):
+    def __init__(self, solver: str, reward_mode: str):
         self.solver = solver
-        self.task = task
+        self.reward_mode = reward_mode
 
     def reset(self, total_batches: int, seed: int = 0) -> None:
         pass
 
     def act(self, state: OuterState) -> tuple[list[int], list[int]]:
-        return matching.solve_pool(state, self.task, self.solver), []
+        return matching.solve_pool(state, self.reward_mode, self.solver), []
 
 
 class D2snPolicy:
@@ -133,11 +129,10 @@ def make_policy(spec: PolicySpec, reward_mode: str):
     """One policy instance for every episode of ``spec``: :func:`run_episode`
     resets its per-episode state. Checkpoints load (and fail) here, before
     any episode runs."""
-    task = task_of(reward_mode)
     if spec.kind in ("greedy", "km", "gs"):
-        return OneShotPolicy(spec.kind, task)
+        return OneShotPolicy(spec.kind, reward_mode)
     if spec.kind == "fixed_delay":
-        return matching.FixedDelayPolicy(spec.delay, task=task)
+        return matching.FixedDelayPolicy(spec.delay, reward_mode)
     if spec.kind in ("d2sn", "d2sn_h-"):
         if not spec.checkpoint or not os.path.exists(spec.checkpoint):
             raise DataError(f"checkpoint not found: {spec.checkpoint}")
@@ -172,14 +167,13 @@ def _fmt(x) -> str:
 def check_network_fits(net: D2snConfig, source: str,
                        datasets: list[tuple[str, Dataset]]) -> None:
     """Raise :class:`DataError` naming ``source`` and the dataset unless a
-    network of shape ``net`` reads every dataset's global info and pair
-    features."""
+    network of shape ``net`` reads every dataset's global info (every network
+    reads the pair features)."""
     for path, ds in datasets:
         g_dim = global_info_dim(ds.config)
-        if (net.g_dim, net.d_feat) != (g_dim, N_PAIR_FEATURES):
-            raise DataError(f"{source} does not fit dataset {path}: network g_dim={net.g_dim}, "
-                            f"d_feat={net.d_feat}; dataset needs g_dim={g_dim}, "
-                            f"d_feat={N_PAIR_FEATURES}")
+        if net.g_dim != g_dim:
+            raise DataError(f"{source} does not fit dataset {path}: network g_dim={net.g_dim}; "
+                            f"dataset needs g_dim={g_dim}")
 
 
 def cmd_eval(plan: EvalPlan, out_csv: str) -> list[dict]:
@@ -188,6 +182,8 @@ def cmd_eval(plan: EvalPlan, out_csv: str) -> list[dict]:
     out_dir = os.path.dirname(out_csv) or "."
     if not os.path.isdir(out_dir):
         raise DataError(f"output directory not found: {out_dir} (for {out_csv})")
+    if os.path.isdir(out_csv):
+        raise DataError(f"output path is a directory: {out_csv}")
     policies = [(spec, make_policy(spec, plan.reward_mode)) for spec in plan.policies]
 
     datasets: list[tuple[str, Dataset, str, str]] = []
@@ -274,8 +270,7 @@ def cmd_report(results_csv: str, out_path: str | None = None) -> str:
     hold-behavior table from an evaluation CSV. When ``out_path`` is given the
     human-readable table goes there and a machine-readable aggregate CSV is
     written next to it with suffix ``.agg.csv``."""
-    rows = read_results_csv(results_csv)
-    runs = runs_with_floats([r for r in rows if r["kind"] == "run"])
+    runs = runs_with_floats(results_csv, read_results_csv(results_csv))
     cell_stats = _aggregate_rows(runs)
     buf = io.StringIO()
     if not runs:
@@ -312,13 +307,21 @@ def cmd_report(results_csv: str, out_path: str | None = None) -> str:
     return text
 
 
-def runs_with_floats(runs: list[dict]) -> list[dict]:
-    """CSV reader rows back to typed run rows for aggregation."""
+def runs_with_floats(path: str, rows: list[dict]) -> list[dict]:
+    """The run rows among the rows read from the results CSV ``path``, typed
+    for aggregation. A metric cell that is not a number raises
+    :class:`DataError` naming the file, its line and the column."""
     typed = []
-    for r in runs:
+    for line, r in enumerate(rows, start=2):  # line 1 is the header
+        if r["kind"] != "run":
+            continue
         row = dict(r)
         for col in _METRIC_COLS:
-            row[col] = float(r[col]) if r[col] not in ("", None) else None
+            try:
+                row[col] = float(r[col]) if r[col] not in ("", None) else None
+            except ValueError:
+                raise DataError(f"{path}:{line}: column {col} is not a number: "
+                                f"{r[col]!r}") from None
         typed.append(row)
     return typed
 

@@ -210,36 +210,36 @@ def blocking_pairs(order_prefs: list[list[int]], driver_prefs: list[list[int]],
 
 # -- pool helpers and the fixed-delay batch policy ------------------------------
 
-def pool_cost_matrix(state, task: str) -> tuple[CostMatrix, np.ndarray, np.ndarray, np.ndarray]:
-    """Build the batch matrix for an outer state's pool.
+def pool_cost_matrix(state, reward_mode: str) -> tuple[CostMatrix, np.ndarray]:
+    """Build the batch matrix for an outer state's pool, one row per order
+    and one column per driver, each in id order.
 
-    task "distance" minimizes normalized pickup distance (passenger task);
-    task "price" maximizes normalized price (income task). Returns the matrix,
-    the sorted order and driver ids backing rows/cols, and a rows x cols array
-    of the pool row behind each eligible entry (-1 where forbidden).
+    Reward mode "APD" minimizes normalized pickup distance (passenger task);
+    "TDI" maximizes normalized price (income task). Returns the matrix and a
+    rows x cols array of the pool row behind each eligible entry (-1 where
+    forbidden).
     """
     from .env import F_PICKUP, F_PRICE
-    if task not in ("distance", "price"):
-        raise DomainError(f"task must be 'distance' or 'price', got {task!r}")
+    if reward_mode not in ("APD", "TDI"):
+        raise DomainError(f"reward mode must be 'APD' or 'TDI', got {reward_mode!r}")
     order_ids, r = np.unique(state.order_ids, return_inverse=True)
     driver_ids, c = np.unique(state.driver_ids, return_inverse=True)
     shape = (len(order_ids), len(driver_ids))
     values = np.zeros(shape)
     forbidden = np.ones(shape, dtype=bool)
     row_of_rc = np.full(shape, -1, dtype=np.int64)
-    col = F_PICKUP if task == "distance" else F_PRICE
-    values[r, c] = state.feature_matrix[:, col]
+    values[r, c] = state.feature_matrix[:, F_PICKUP if reward_mode == "APD" else F_PRICE]
     forbidden[r, c] = False
     row_of_rc[r, c] = np.arange(state.n_pairs)
-    mode = "min" if task == "distance" else "max"
-    return CostMatrix(values, mode=mode, forbidden=forbidden), order_ids, driver_ids, row_of_rc
+    mode = "min" if reward_mode == "APD" else "max"
+    return CostMatrix(values, mode=mode, forbidden=forbidden), row_of_rc
 
 
-def solve_pool(state, task: str, solver: str = "km") -> list[int]:
+def solve_pool(state, reward_mode: str, solver: str = "km") -> list[int]:
     """Run a one-batch solver over the pool; returns selected pool rows."""
     if state.n_pairs == 0:
         return []
-    matrix, _, _, row_of_rc = pool_cost_matrix(state, task)
+    matrix, row_of_rc = pool_cost_matrix(state, reward_mode)
     if solver == "km":
         pairs = km_match(matrix)
     elif solver == "greedy":
@@ -255,11 +255,11 @@ class FixedDelayPolicy:
     """Plumbing baseline: run the optimal matcher every k-th batch and at the
     final batch, hold everything in between."""
 
-    def __init__(self, delay_batches: int, task: str = "price"):
+    def __init__(self, delay_batches: int, reward_mode: str = "TDI"):
         if delay_batches < 1:
             raise DomainError(f"delay_batches must be >= 1, got {delay_batches}")
         self.delay = int(delay_batches)
-        self.task = task
+        self.reward_mode = reward_mode
         self._t = 0
         self._total = None
 
@@ -279,4 +279,4 @@ class FixedDelayPolicy:
             return [], list(range(state.n_pairs))
         # max-cardinality matching leaves only rows that conflict with a
         # selection, so nothing survives to be held on matching batches
-        return solve_pool(state, self.task, "km"), []
+        return solve_pool(state, self.reward_mode, "km"), []

@@ -47,11 +47,10 @@ PENDING, AVAILABLE, SERVING, GONE = range(4)
 
 # ``x``/``y`` is the position (the destination while serving) and ``cell`` its
 # grid cell, ``since`` the time the driver last became idle, ``done`` the
-# completion time of its trip and ``order`` the id of the order it serves.
+# completion time of its trip.
 DRIVER_DTYPE = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64),
                          ("cell", np.int64), ("appear", np.float64), ("hazard", np.float64),
-                         ("since", np.float64), ("done", np.float64),
-                         ("order", np.int64), ("state", np.int8)])
+                         ("since", np.float64), ("done", np.float64), ("state", np.int8)])
 # ``cell`` is the origin's grid cell, ``dcell`` the destination's.
 ORDER_DTYPE = np.dtype([("id", np.int64), ("ox", np.float64), ("oy", np.float64),
                         ("cell", np.int64), ("dx", np.float64), ("dy", np.float64),
@@ -67,7 +66,6 @@ class MetricsLedger:
     cancelled_orders: int = 0
     sum_pickup_distance: float = 0.0
     sum_income: float = 0.0
-    served_order_ids: set[int] = field(default_factory=set)
     served_driver_ids: set[int] = field(default_factory=set)
     batch_pickup_sums: list[float] = field(default_factory=list)
     batch_income_sums: list[float] = field(default_factory=list)
@@ -127,7 +125,7 @@ class SimState:
         self.clock: float = 0.0
         self.drivers = drivers = _table(DRIVER_DTYPE, [
             (d.id, d.position.x, d.position.y, 0, d.appear_time, d.offline_hazard,
-             d.appear_time, math.inf, -1, PENDING) for d in dataset.drivers], "driver")
+             d.appear_time, math.inf, PENDING) for d in dataset.drivers], "driver")
         self.orders = orders = _table(ORDER_DTYPE, [
             (o.id, o.origin.x, o.origin.y, 0, o.destination.x, o.destination.y, 0, o.price,
              o.appear_time, o.patience, o.trip_duration, PENDING)
@@ -137,12 +135,12 @@ class SimState:
         orders["dcell"] = cell_ids(orders["dx"], orders["dy"], self.config)
         self.ledger = MetricsLedger()
         self.rng = np.random.default_rng(self.config.seed if seed is None else seed)
-        self.terminated = False
-        # each table's rows in arrival order, their arrival times and how many
-        # have appeared; a row appears once, when the clock first passes it
-        self._arrivals = [(t, np.argsort(t["appear"], kind="stable"), np.sort(t["appear"]))
-                          for t in (drivers, orders)]
-        self._appeared = [0, 0]
+        # each table, the ledger count of its appeared rows, its rows in
+        # arrival order and their arrival times; a row appears once, when the
+        # clock first passes it
+        self._arrivals = [(t, count, np.argsort(t["appear"], kind="stable"), np.sort(t["appear"]))
+                          for t, count in ((drivers, "appeared_drivers"),
+                                           (orders, "appeared_orders"))]
         self._next_done = math.inf  # the earliest trip completion, inf when none is due
         self._spawn_until(self.clock + self.config.batch_window_s)
 
@@ -172,12 +170,11 @@ class SimState:
 
     def _spawn_until(self, limit: float) -> None:
         """Pending rows appearing before ``limit`` become available."""
-        for k, (table, order, times) in enumerate(self._arrivals):
-            stop = int(np.searchsorted(times, limit))
-            if stop > self._appeared[k]:
-                table["state"][order[self._appeared[k]:stop]] = AVAILABLE
-                self._appeared[k] = stop
-        self.ledger.appeared_drivers, self.ledger.appeared_orders = self._appeared
+        for table, count, order, times in self._arrivals:
+            start, stop = getattr(self.ledger, count), int(np.searchsorted(times, limit))
+            if stop > start:
+                table["state"][order[start:stop]] = AVAILABLE
+                setattr(self.ledger, count, stop)
 
     def _pickups(self, d_rows: np.ndarray, o_rows: np.ndarray) -> list[float]:
         """Pickup distance of each pair of rows, as :func:`~micod.core.distance`."""
@@ -192,8 +189,8 @@ class SimState:
         (driver_id, order_id) pairs over currently idle drivers / open orders,
         as tuples or as the rows of an n x 2 integer array.
         """
-        if self.terminated:
-            raise SimulationStateError("episode already terminated")
+        if self.ledger.finalized:
+            raise SimulationStateError("episode already finished")
         ledger, drivers, orders = self.ledger, self.drivers, self.orders
 
         batch_pickup = batch_income = 0.0
@@ -223,7 +220,6 @@ class SimState:
             drivers["x"][d_rows] = orders["dx"][o_rows]
             drivers["y"][d_rows] = orders["dy"][o_rows]
             drivers["cell"][d_rows] = orders["dcell"][o_rows]
-            drivers["order"][d_rows] = ids[:, 1]
             drivers["state"][d_rows] = SERVING
             orders["state"][o_rows] = GONE
         ledger.sum_pickup_distance += batch_pickup
@@ -270,7 +266,6 @@ class SimState:
             drivers["since"][rows] = drivers["done"][rows]
             drivers["state"][rows] = AVAILABLE
             self.ledger.completed_orders += len(rows)
-            self.ledger.served_order_ids.update(drivers["order"][rows].tolist())
             self.ledger.served_driver_ids.update(drivers["id"][rows].tolist())
         serving = drivers["state"] == SERVING
         self._next_done = float(drivers["done"][serving].min()) if serving.any() else math.inf
@@ -285,11 +280,10 @@ class SimState:
     def finish(self) -> None:
         """Terminate the episode: in-flight trips complete (service is
         deterministic once dispatched) and still-open orders cancel."""
-        if self.terminated:
+        if self.ledger.finalized:
             return
         self._cancel(self.orders["state"] == AVAILABLE)
         self._release(self.drivers["state"] == SERVING)
-        self.terminated = True
         self.ledger.finalized = True
 
     # -- queries -----------------------------------------------------------------
@@ -339,7 +333,7 @@ class SimState:
 def episode_metrics(ledger: MetricsLedger) -> MetricsReport:
     """Episode metric suite from a finalized ledger."""
     if not ledger.finalized:
-        raise SimulationStateError("episode_metrics requires a terminated episode")
+        raise SimulationStateError("episode_metrics requires a finished episode")
     n_app_o = ledger.appeared_orders
     n_app_d = ledger.appeared_drivers
     n_done = ledger.completed_orders
@@ -364,7 +358,7 @@ def episode_metrics(ledger: MetricsLedger) -> MetricsReport:
         hold_o_ratio=len(ledger.held_distinct_order_ids) / n_app_o if n_app_o else 0.0,
         hold_tdi_ratio=hold_tdi,
         hold_d_ratio=len(ledger.held_distinct_driver_ids) / n_app_d if n_app_d else 0.0,
-        order_sr=len(ledger.served_order_ids) / n_app_o if n_app_o else 0.0,
+        order_sr=cr,  # each order is served at most once
         driver_sr=len(ledger.served_driver_ids) / n_app_d if n_app_d else 0.0,
         appeared_orders=n_app_o, completed_orders=n_done,
         cancelled_orders=ledger.cancelled_orders, appeared_drivers=n_app_d,

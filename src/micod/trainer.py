@@ -77,7 +77,6 @@ class StepRecord:
     action: ActionRecord
     reward: float
     value: float
-    logp_old: float
 
 
 @dataclass
@@ -113,7 +112,7 @@ def collect_rollouts(env_factory, params: D2snParams, n_episodes: int,
             total += reward
             state = nxt
         values = critic_values([s for s, _, _ in visited], params).tolist()
-        steps = [StepRecord(state=s, action=a, reward=r, value=v, logp_old=a.logp)
+        steps = [StepRecord(state=s, action=a, reward=r, value=v)
                  for (s, a, r), v in zip(visited, values)]
         out.append(Trajectory(steps=steps, episode_reward=total, metrics=env.metrics()))
     return out
@@ -189,19 +188,14 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
     losses of the last minibatch, and over every replay the mean entropy,
     the mean and clipped share of the policy ratio, and ``approx_kl``, the
     mean of -log(ratio)."""
-    flat: list[tuple[StepRecord, float, float]] = []  # (record, advantage, target)
-    for traj in trajectories:
-        rewards = [s.reward for s in traj.steps]
-        values = [s.value for s in traj.steps]
-        adv, targets = compute_gae(rewards, values, cfg.gamma, cfg.lam)
-        for rec, a, tgt in zip(traj.steps, adv, targets):
-            flat.append((rec, float(a), float(tgt)))
-    if not flat:
+    records = [rec for traj in trajectories for rec in traj.steps]
+    if not records:
         return {"transitions": 0, **IDLE_DIAGNOSTICS}
-
-    a = np.array([x[1] for x in flat])
-    mu, sd = a.mean(), a.std()
-    flat = [(rec, (adv - mu) / (sd + 1e-8), tgt) for (rec, adv, tgt) in flat]
+    gae = [compute_gae([s.reward for s in traj.steps], [s.value for s in traj.steps],
+                       cfg.gamma, cfg.lam) for traj in trajectories]
+    advantages = np.concatenate([adv for adv, _ in gae])
+    targets = np.concatenate([tgt for _, tgt in gae])
+    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
     ratios: list[float] = []
     log_ratios: list[float] = []
@@ -209,28 +203,25 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
     last = {"policy_loss": float("nan"), "critic_loss": float("nan")}
 
     for _ in range(cfg.epochs):
-        pool = flat
-        if cfg.update_sample_size is not None and cfg.update_sample_size < len(flat):
-            idx = rng.choice(len(flat), size=cfg.update_sample_size, replace=False)
-            pool = [flat[int(i)] for i in idx]
-        order = rng.permutation(len(pool))
+        pool = np.arange(len(records))
+        if cfg.update_sample_size is not None and cfg.update_sample_size < len(records):
+            pool = rng.choice(len(records), size=cfg.update_sample_size, replace=False)
+        pool = pool[rng.permutation(len(pool))]
         for start in range(0, len(pool), cfg.minibatch_size):
-            batch = [pool[int(i)] for i in order[start:start + cfg.minibatch_size]]
-            recs = [rec for rec, _, _ in batch]
-            adv = np.array([a for _, a, _ in batch])
-            targets = np.array([tgt for _, _, tgt in batch])
+            batch = pool[start:start + cfg.minibatch_size]
+            recs = [records[i] for i in batch]
             tensors = as_tensors(params)
 
             logp, _, ent = replay([(rec.state, rec.action) for rec in recs], tensors)
-            log_ratio = logp - np.array([rec.logp_old for rec in recs])
+            log_ratio = logp - np.array([rec.action.logp for rec in recs])
             ratio = exp(log_ratio)
             ratios.extend(detach(ratio).tolist())
             log_ratios.extend(detach(log_ratio).tolist())
             entropies.extend(detach(ent).tolist())
-            err = critic_values([rec.state for rec in recs], tensors) - targets
+            err = critic_values([rec.state for rec in recs], tensors) - targets[batch]
 
             inv = 1.0 / len(batch)
-            policy_loss = -asum(clipped_objective(ratio, adv, cfg.clip_eps)) * inv
+            policy_loss = -asum(clipped_objective(ratio, advantages[batch], cfg.clip_eps)) * inv
             entropy_mean = asum(ent) * inv
             critic_loss = asum(err * err) * inv
             total = policy_loss + critic_loss - cfg.entropy_coef * entropy_mean
@@ -251,16 +242,16 @@ def ppo_update(trajectories: list[Trajectory], params: D2snParams, cfg: TrainCon
                 grads.update(_clipped_grads(tensors.tensors, names, cfg.grad_clip))
             opt.step(params.tensors, grads, cfg.lr)
 
-    ratios_arr = np.array(ratios) if ratios else np.array([1.0])
+    ratios_arr = np.array(ratios)
     eps = cfg.clip_eps
     return {
-        "transitions": len(flat),
+        "transitions": len(records),
         "mean_ratio": float(ratios_arr.mean()),
         "clip_fraction": float(((ratios_arr < 1 - eps) | (ratios_arr > 1 + eps)).mean()),
         "policy_loss": last["policy_loss"],
         "critic_loss": last["critic_loss"],
-        "entropy": float(np.mean(entropies)) if entropies else 0.0,
-        "approx_kl": -float(np.mean(log_ratios)) if log_ratios else 0.0,
+        "entropy": float(np.mean(entropies)),
+        "approx_kl": -float(np.mean(log_ratios)),
     }
 
 
@@ -362,15 +353,14 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
         t_done = time.monotonic()
 
         mean_reward = float(np.mean([t.episode_reward for t in trajectories]))
-        crs = [t.metrics.cr for t in trajectories if t.metrics is not None]
         metric_vals = [t.metrics.tdi if mode == "TDI" else (t.metrics.apd or 0.0)
-                       for t in trajectories if t.metrics is not None]
+                       for t in trajectories]
         row = {
             "iteration": it + 1,
             "episodes": episode_counter,
             "mean_reward": mean_reward,
-            "cr": float(np.mean(crs)) if crs else 0.0,
-            "metric": float(np.mean(metric_vals)) if metric_vals else 0.0,
+            "cr": float(np.mean([t.metrics.cr for t in trajectories])),
+            "metric": float(np.mean(metric_vals)),
             "wallclock": wallclock_before + time.monotonic() - t0,
             **{k: diag[k] for k in IDLE_DIAGNOSTICS},
             "rollout_s": t_update - t_rollout,

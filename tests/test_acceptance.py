@@ -192,7 +192,7 @@ def test_c06_ppo_ratio_identity():
     for traj in trajs:
         for rec in traj.steps:
             lp, _ = log_prob(rec.state, rec.action, params)
-            ratio = math.exp(to_float(lp) - rec.logp_old)
+            ratio = math.exp(to_float(lp) - rec.action.logp)
             assert abs(ratio - 1.0) < 1e-8
             if ratio < 0.8 or ratio > 1.2:
                 clipped += 1

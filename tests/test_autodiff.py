@@ -501,7 +501,7 @@ def _network_grads(monkeypatch, fused: bool):
     if not fused:
         monkeypatch.setattr(d2sn, "masked_gru_scan", reference_masked_gru_scan)
         monkeypatch.setattr(d2sn, "masked_attention", reference_masked_attention)
-    cfg = d2sn.D2snConfig(d_model=8, n_heads=2, d_feat=12, g_dim=5)
+    cfg = d2sn.D2snConfig(d_model=8, n_heads=2, g_dim=5)
     params = d2sn.init_params(cfg, seed=3, zero_heads=False)
     rng = np.random.default_rng(4)
     ids = np.array([(1, 1), (1, 2), (2, 1), (3, 3), (4, 2), (4, 4)], dtype=np.int64)

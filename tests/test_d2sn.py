@@ -11,9 +11,9 @@ from micod.d2sn import (ActionRecord, D2snConfig, D2snParams, _decision_log_prob
                         _hold_log_probs, aggregate, as_tensors, critic_value, encode,
                         init_params, load_checkpoint, log_prob, replay, sample_action,
                         save_checkpoint)
-from micod.env import IllegalActionError, OuterState
+from micod.env import N_PAIR_FEATURES, IllegalActionError, OuterState
 
-CFG = D2snConfig(d_model=16, n_heads=2, d_feat=12, g_dim=8)
+CFG = D2snConfig(d_model=16, n_heads=2, g_dim=8)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +227,7 @@ def test_sample_then_replay_logp_matches(params):
 
 def test_sampled_step_logps_match_replay_with_random_heads():
     # the default width, heads that are not uniform, pools of 1 to 40 rows
-    p_rand = init_params(D2snConfig(d_feat=12, g_dim=8), seed=9, zero_heads=False)
+    p_rand = init_params(D2snConfig(g_dim=8), seed=9, zero_heads=False)
     rng = np.random.default_rng(11)
     for trial in range(200):
         n_ids = int(rng.integers(1, 11))
@@ -360,7 +360,7 @@ def test_config_requires_divisible_heads():
 
 
 @pytest.mark.parametrize("widths", [{"n_heads": 0}, {"d_model": 32.0}, {"g_dim": 2.5},
-                                    {"n_heads": True}, {"d_feat": -12}, {"g_dim": "8"}])
+                                    {"n_heads": True}, {"g_dim": -8}, {"g_dim": "8"}])
 def test_config_widths_must_be_integers_of_at_least_one(widths):
     with pytest.raises(ValueError, match="integers >= 1"):
         D2snConfig(**widths)
@@ -368,7 +368,7 @@ def test_config_widths_must_be_integers_of_at_least_one(widths):
 
 def test_config_accepts_numpy_integer_widths():
     cfg = D2snConfig(d_model=np.int64(16), n_heads=np.int32(2), g_dim=np.int64(8))
-    assert init_params(cfg).tensors["emb_w"].shape == (cfg.d_feat, 16)
+    assert init_params(cfg).tensors["emb_w"].shape == (N_PAIR_FEATURES, 16)
 
 
 def test_all_params_finite(params):

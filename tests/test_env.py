@@ -218,7 +218,7 @@ def test_done_after_episode_length():
         _, _, done = env.finalize_batch([], [])
         flags.append(done)
     assert flags == [False, False, True]
-    assert env.sim.terminated
+    assert env.sim.ledger.finalized
 
 
 def test_pool_size_varies_across_batches():

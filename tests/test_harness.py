@@ -196,6 +196,69 @@ def test_cmd_eval_missing_output_directory_runs_no_episode(tmp_path, capsys, mon
     assert episodes == []
 
 
+def test_cli_eval_out_that_is_a_directory_runs_no_episode(tmp_path, capsys, monkeypatch):
+    import micod.harness
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    ckpt = str(tmp_path / "net.ckpt")
+    save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(ds.config))), ckpt)
+    loads, episodes = [], []
+    monkeypatch.setattr(micod.harness, "load_checkpoint",
+                        lambda path: loads.append(path) or micod.d2sn.load_checkpoint(path))
+    monkeypatch.setattr(micod.harness, "run_episode", lambda *args: episodes.append(args))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    rc = main(["eval", "--policy", "km", "--policy", f"d2sn({ckpt})", "--dataset", ds_path,
+               "--seeds", "2", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert str(out) in capsys.readouterr().err
+    assert loads == [] and episodes == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--results", "{results}", "--out", "{dir}"],
+    ["report", "--results", "{dir}"],
+    ["eval", "--policy", "km", "--dataset", "{dir}", "--seeds", "1", "--out", "{out}"],
+    ["eval", "--config", "{dir}"],
+    ["train", "--config", "{train_cfg}", "--out", "{results}"],
+], ids=["report-out", "report-results", "eval-dataset", "eval-config", "train-out"])
+def test_cli_path_of_the_wrong_kind_is_data_error(tmp_path, capsys, argv):
+    ds_path = str(tmp_path / "d.jsonl")
+    small_dataset(ds_path)
+    results = tmp_path / "results.csv"
+    cmd_eval(EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=[ds_path], seeds=[0]),
+             str(results))
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(f"datasets = {ds_path}\niterations = 1\nepisodes_per_iter = 1\n")
+    (tmp_path / "dir").mkdir()
+    paths = {"results": results, "dir": tmp_path / "dir", "out": tmp_path / "o.csv",
+             "train_cfg": train_cfg}
+    assert main([a.format(**paths) for a in argv]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_eval_order_sr_equals_cr_on_every_run(tmp_path):
+    """Each order is served at most once, so the served-order ratio is the
+    completion ratio, for holding and non-holding policies alike."""
+    from micod.d2sn import D2snConfig, init_params, save_checkpoint
+    from micod.env import global_info_dim
+
+    ds_path = str(tmp_path / "d.jsonl")
+    ds = small_dataset(ds_path)
+    ckpt = str(tmp_path / "net.ckpt")
+    save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(ds.config))), ckpt)
+    plan = EvalPlan(policies=[parse_policy_id(p)
+                              for p in ("km", "fixed_delay(3)", f"d2sn({ckpt})")],
+                    dataset_paths=[ds_path], seeds=[0, 1])
+    runs = [r for r in cmd_eval(plan, str(tmp_path / "r.csv")) if r["kind"] == "run"]
+    assert len(runs) == 6
+    assert all(r["order_sr"] == r["cr"] for r in runs)
+    assert any(r["hold_o_ratio"] > 0 for r in runs)  # the holding policies held orders
+
+
 def test_one_policy_instance_gives_the_reports_of_fresh_ones(tmp_path):
     from micod.d2sn import D2snConfig, init_params, save_checkpoint
     from micod.env import global_info_dim
@@ -272,6 +335,18 @@ def test_report_hand_checked_stats(tmp_path):
     text = cmd_report(path)
     assert "20+/-10" in text  # tdi mean 20, std 10
     assert "0.6+/-0.1" in text  # cr
+
+
+def test_cli_report_non_numeric_metric_is_data_error(tmp_path, capsys):
+    from micod.harness import RESULT_COLUMNS, _write_rows
+    row = {c: "0.5" for c in RESULT_COLUMNS}
+    row.update({"kind": "run", "policy": "km", "level": "L1", "capacity_bin": "400",
+                "dataset": "x", "seed": 0, "cr": "abc"})
+    path = str(tmp_path / "one.csv")
+    _write_rows(path, [row])
+    assert main(["report", "--results", path]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}:2" in err and "cr" in err and "'abc'" in err
 
 
 def test_cmd_report_tables_are_the_eval_aggregates(tmp_path):
@@ -846,43 +921,63 @@ def test_cli_train_datasets_of_different_grids_is_data_error(tmp_path, capsys, m
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("net", [{"g_dim": 7}, {"d_feat": 5}])
+# Checkpoints that do not fit a dataset: a network for another global-info
+# width, a hand-written one whose ``emb_w`` reads 5 pair features, and one
+# whose header config still carries ``d_feat``. Each names what is wrong.
+MISFITS = [{"g_dim": 7}, {"emb_w_rows": 5}, {"d_feat": 12}]
+
+
+def save_misfit(path, ds, net, extra=None) -> str:
+    """Save the checkpoint ``net`` describes for dataset ``ds`` at ``path``;
+    returns the text the data error must hold besides the checkpoint path."""
+    from micod.d2sn import D2snConfig, D2snParams, init_params, save_checkpoint
+    from micod.env import global_info_dim
+    from test_d2sn import rewrite_header
+
+    params = init_params(D2snConfig(g_dim=net.get("g_dim", global_info_dim(ds.config))), seed=0)
+    if "emb_w_rows" in net:
+        params = D2snParams(params.config, {**params.tensors,
+                                            "emb_w": params.tensors["emb_w"][:net["emb_w_rows"]]})
+    save_checkpoint(params, path, extra=extra)
+    if "d_feat" in net:
+        rewrite_header(path, lambda h: json.dumps(
+            {**h, "config": {**h["config"], "d_feat": net["d_feat"]}}).encode())
+        return "d_feat"
+    return "emb_w" if "emb_w_rows" in net else "g_dim"
+
+
+@pytest.mark.parametrize("net", MISFITS)
 def test_cli_train_resume_from_checkpoint_that_does_not_fit_is_data_error(
         tmp_path, capsys, monkeypatch, net):
-    from micod.d2sn import D2snConfig, init_params, save_checkpoint
-    from micod.env import global_info_dim
-
     ds_path = tmp_path / "d.jsonl"
     ds = small_dataset(str(ds_path))
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     latest = out_dir / "latest.ckpt"
-    save_checkpoint(init_params(D2snConfig(**{"g_dim": global_info_dim(ds.config), **net})),
-                    latest, extra={"iteration": 1})
+    named = save_misfit(latest, ds, net, extra={"iteration": 1})
     _no_rollouts(monkeypatch)
     config = tmp_path / "train.cfg"
     config.write_text(f"datasets = {ds_path}\niterations = 2\nepisodes_per_iter = 1\n")
     rc = main(["train", "--config", str(config), "--out", str(out_dir), "--resume"])
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
-    assert str(latest) in captured.err and str(ds_path) in captured.err
+    assert str(latest) in captured.err and named in captured.err
+    if "g_dim" in net:  # a network that loads is checked against each dataset
+        assert str(ds_path) in captured.err
     assert "model parameters" not in captured.out
     assert not (out_dir / "curves.csv").exists()
 
 
-@pytest.mark.parametrize("net", [{"g_dim": 7}, {"d_feat": 5}])
+@pytest.mark.parametrize("net", MISFITS)
 @pytest.mark.parametrize("after_km", [False, True])
 def test_cli_eval_checkpoint_that_does_not_fit_is_data_error(tmp_path, capsys, monkeypatch,
                                                              net, after_km):
     import micod.harness
-    from micod.d2sn import D2snConfig, init_params, save_checkpoint
-    from micod.env import global_info_dim
 
     ds_path = str(tmp_path / "d.jsonl")
     ds = small_dataset(ds_path)
-    cfg = D2snConfig(**{"g_dim": global_info_dim(ds.config), **net})
     ckpt = tmp_path / "net.ckpt"
-    save_checkpoint(init_params(cfg, seed=0), ckpt)
+    named = save_misfit(ckpt, ds, net)
 
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode ran before the checkpoint was checked")
@@ -893,7 +988,9 @@ def test_cli_eval_checkpoint_that_does_not_fit_is_data_error(tmp_path, capsys, m
                "--seeds", "1", "--out", str(out)])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
-    assert str(ckpt) in err and ds_path in err
+    assert str(ckpt) in err and named in err
+    if "g_dim" in net:
+        assert ds_path in err
     assert not out.exists()
 
 

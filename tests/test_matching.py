@@ -204,16 +204,18 @@ def test_pool_cost_matrix_hand_instance():
     feats[:, F_PICKUP] = [0.5, 0.25, 0.75]
     state = OuterState(global_info=np.zeros(4), order_ids=np.array([5, 3, 5]),
                        driver_ids=np.array([2, 2, 9]), feature_matrix=feats)
-    m, order_ids, driver_ids, row_of_rc = pool_cost_matrix(state, "price")
-    assert order_ids.tolist() == [3, 5] and driver_ids.tolist() == [2, 9]
+    # rows are orders 3, 5 and columns drivers 2, 9, each in id order
+    m, row_of_rc = pool_cost_matrix(state, "TDI")
     assert m.mode == "max"
     assert m.values.tolist() == [[2.0, 0.0], [1.0, 3.0]]
     assert m.forbidden.tolist() == [[False, True], [False, False]]
     assert row_of_rc.tolist() == [[1, -1], [0, 2]]
-    m, _, _, _ = pool_cost_matrix(state, "distance")
+    m, _ = pool_cost_matrix(state, "APD")
     assert m.mode == "min" and m.values.tolist() == [[0.25, 0.0], [0.5, 0.75]]
     for solver in ("km", "greedy", "gs"):
-        assert solve_pool(state, "price", solver) == [1, 2]
+        assert solve_pool(state, "TDI", solver) == [1, 2]
+    with pytest.raises(DomainError, match="'APD' or 'TDI'"):
+        pool_cost_matrix(state, "price")
 
 
 def test_fixed_delay_schedule():

@@ -28,7 +28,7 @@ from micod.d2sn import ActionRecord, D2snConfig, as_tensors, critic_values, init
 from micod.env import IllegalActionError, OuterState, mask_after_selection
 from test_autodiff import reference_attention, reference_gru_scan, reference_log_softmax_vec
 
-CFG = D2snConfig(d_model=8, n_heads=2, d_feat=12, g_dim=5)
+CFG = D2snConfig(d_model=8, n_heads=2, g_dim=5)
 PARAMS = init_params(CFG, seed=7, zero_heads=False)
 
 
@@ -129,7 +129,7 @@ def reference_log_prob(state, action, params):
         mask = mask_after_selection(state, mask, c_pool)
         k += 1
     if len(step_logps) != len(action.steps):
-        raise IllegalActionError("replay terminated at a different sub-step count")
+        raise IllegalActionError("replay ended at a different sub-step count")
     return reduce(add, step_logps), step_logps, entropy
 
 

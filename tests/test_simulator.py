@@ -177,8 +177,7 @@ def test_metrics_cr():
 def test_metrics_no_held_pairs():
     ledger = MetricsLedger(appeared_orders=10, completed_orders=6, cancelled_orders=4,
                            appeared_drivers=8, sum_pickup_distance=6000.0,
-                           sum_income=50.0, served_order_ids=set(range(6)),
-                           served_driver_ids={0, 1, 2}, finalized=True)
+                           sum_income=50.0, served_driver_ids={0, 1, 2}, finalized=True)
     report = episode_metrics(ledger)
     assert report.hold_apd_ratio == 0.0
     assert report.hold_o_ratio == 0.0

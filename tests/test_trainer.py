@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -102,8 +103,8 @@ def test_rollout_deterministic_given_seed():
 
     a, b = collect(4), collect(4)
     assert [t.episode_reward for t in a] == [t.episode_reward for t in b]
-    assert [[s.logp_old for s in t.steps] for t in a] == \
-        [[s.logp_old for s in t.steps] for t in b]
+    assert [[s.action.logp for s in t.steps] for t in a] == \
+        [[s.action.logp for s in t.steps] for t in b]
 
 
 def test_rollout_reward_sum_equals_ledger_tdi():
@@ -125,7 +126,7 @@ def test_ratio_identity_at_unchanged_params():
     for traj in trajs:
         for rec in traj.steps:
             lp, _ = log_prob(rec.state, rec.action, params)
-            ratio = math.exp(to_float(lp) - rec.logp_old)
+            ratio = math.exp(to_float(lp) - rec.action.logp)
             assert ratio == pytest.approx(1.0, abs=1e-8)
 
 
@@ -281,6 +282,24 @@ def test_ppo_update_approx_kl_is_mean_negative_log_ratio():
     assert diag["approx_kl"] != 0.0  # later epochs replay under updated parameters
     # -log r >= 1 - r, so the mean of -log r is at least 1 - mean(r)
     assert diag["approx_kl"] >= 1.0 - diag["mean_ratio"] - 1e-12
+
+
+def test_train_one_iteration_parameter_digest():
+    """Fixed-seed training is bit-for-bit reproducible through a sampled
+    update: each epoch draws 8 of the 12 transitions and replays them in
+    minibatches of 3, 3 and 2."""
+    ds = tiny_dataset(n_drivers=3, n_orders=4, episode_s=12.0)
+    cfg = TrainConfig(lr=1e-2, iterations=1, episodes_per_iter=2, epochs=2, minibatch_size=3,
+                      update_sample_size=8, entropy_coef=0.01, seed=5)
+    diags = []
+    result = train(cfg, [ds], net_config=net_config(ds),
+                   progress=lambda row, diag: diags.append(diag))
+    assert [d["transitions"] for d in diags] == [12]
+    h = hashlib.sha256()
+    for name in sorted(result.params.tensors):
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(result.params.tensors[name], dtype=np.float64).tobytes())
+    assert h.hexdigest() == "7afa10f74bda3090bbbda81b7a212042a91b2bd29108dbc9f1b43673449fa509"
 
 
 @pytest.mark.parametrize("key", ["iterations", "epochs", "minibatch_size", "episodes_per_iter"])
