@@ -61,6 +61,16 @@ def _setting(flag, cfgd: dict[str, str], path: str, key: str, convert, default=N
         raise DataError(f"{path}: bad value for {key}: {exc}") from exc
 
 
+def _check_out_dir(out: str) -> None:
+    """``--out`` names a directory to create or reuse. Its nearest existing
+    path must be a directory, or nothing is read or built."""
+    nearest = out
+    while nearest and not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if nearest and not os.path.isdir(nearest):
+        raise DataError(f"--out {out}: {nearest} exists and is not a directory")
+
+
 def _ranged(convert, ok, rule: str):
     """``convert``, rejecting values that fail ``ok``: a flag's ``type=`` and
     the ``_setting`` converter of the config key alike."""
@@ -128,6 +138,7 @@ def _run_train(args) -> int:
     from .scenario import load
     from .trainer import TrainConfig, train
 
+    _check_out_dir(args.out)
     raw = parse_config_file(args.config)
     dataset_field = raw.pop("datasets", None)
     if not dataset_field:
@@ -197,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             if not level or not cap or not out:
                 raise UsageError("generate needs --level, --bin and --out "
                                  "(flags or config entries)")
+            _check_out_dir(out)
             paths = cmd_generate(level, cap, count, scale, seed, out)
             from .scenario import classify, load
             for path in paths:

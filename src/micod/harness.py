@@ -128,7 +128,10 @@ class D2snPolicy:
 def make_policy(spec: PolicySpec, reward_mode: str):
     """One policy instance for every episode of ``spec``: :func:`run_episode`
     resets its per-episode state. Checkpoints load (and fail) here, before
-    any episode runs."""
+    any episode runs, and so does the KM solver's scipy, outside every
+    episode's wallclock."""
+    if spec.kind in ("km", "fixed_delay"):
+        import scipy.optimize  # noqa: F401
     if spec.kind in ("greedy", "km", "gs"):
         return OneShotPolicy(spec.kind, reward_mode)
     if spec.kind == "fixed_delay":

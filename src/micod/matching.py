@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DomainError
 
@@ -100,6 +99,7 @@ def km_match(m: CostMatrix) -> Assignment:
     big[rows + np.arange(cols), np.arange(cols)] = pad
     big[rows:, cols:] = 0.0
 
+    from scipy.optimize import linear_sum_assignment  # only KM loads scipy
     rr, cc = linear_sum_assignment(big)
     out = [(int(r), int(c)) for r, c in zip(rr, cc)
            if r < rows and c < cols and allowed[r, c]]

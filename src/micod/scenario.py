@@ -138,11 +138,16 @@ def generate(spec: ScenarioSpec, config: EpisodeConfig | None = None) -> Dataset
     centers = [Location(rng.uniform(0, cfg.fence_width_m), rng.uniform(0, cfg.fence_height_m))
                for _ in range(_N_HOTSPOTS)]
     weights = rng.dirichlet(np.ones(_N_HOTSPOTS))
+    # rng.choice(_N_HOTSPOTS, p=weights) draws one rng.random() and searches
+    # this cdf; doing so here keeps its draws without its per-call checks
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    width, height = float(cfg.fence_width_m), float(cfg.fence_height_m)
 
     def hotspot_point() -> Location:
-        k = int(rng.choice(_N_HOTSPOTS, p=weights))
-        x = float(np.clip(centers[k].x + rng.normal(0, _HOTSPOT_SPREAD_M), 0, cfg.fence_width_m))
-        y = float(np.clip(centers[k].y + rng.normal(0, _HOTSPOT_SPREAD_M), 0, cfg.fence_height_m))
+        k = int(cdf.searchsorted(rng.random(), side="right"))
+        x = min(max(centers[k].x + rng.normal(0, _HOTSPOT_SPREAD_M), 0.0), width)
+        y = min(max(centers[k].y + rng.normal(0, _HOTSPOT_SPREAD_M), 0.0), height)
         return Location(x, y)
 
     drivers = []

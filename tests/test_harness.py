@@ -547,6 +547,32 @@ def test_cli_non_finite_checkpoint_is_data_error(tmp_path, capsys, monkeypatch):
     assert "tensor opt_v_emb_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "generate"])
+@pytest.mark.parametrize("out", ["outfile", os.path.join("outfile", "sub")])
+def test_cli_out_under_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    import micod.cli
+    import micod.d2sn
+    import micod.scenario
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    for module, name in [(micod.scenario, "load"), (micod.d2sn, "init_params"),
+                         (micod.cli, "cmd_generate")]:
+        monkeypatch.setattr(module, name, refuse)
+    ds_path = tmp_path / "d.jsonl"
+    small_dataset(str(ds_path))
+    config = tmp_path / "train.cfg"
+    config.write_text(f"datasets = {ds_path}\niterations = 1\nepisodes_per_iter = 1\n")
+    (tmp_path / "outfile").write_text("")
+    out = str(tmp_path / out)
+    argv = {"train": ["train", "--config", str(config), "--out", out],
+            "generate": ["generate", "--level", "L1", "--bin", "400", "--out", out]}[command]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: --out {out}: ")
+
+
 def _resume_snapshot(tmp_path, drop=(), **extra):
     """A train config over a small dataset and a run directory whose
     ``latest.ckpt`` is a well-formed snapshot after one iteration, less the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -244,3 +245,31 @@ def test_generated_ratio_and_count_always_in_band(level, cap, seed):
     assert lo <= ds.ds_ratio() <= hi
     clo, chi = scaled_capacity_range(cap, 0.1)
     assert clo <= len(ds.drivers) <= chi
+
+
+# sha256 of the saved bytes of every dataset in ``_pinned_grid``: a change
+# to how generation draws must keep every number and its order.
+GENERATED_BYTES_DIGEST = "e70ec74b12a1f933ff5477e355e2515a01e92341d7860a248297a82c99c8f51c"
+
+
+def _pinned_grid():
+    for level in sorted(RATIO_BANDS):
+        for cap in CAPACITY_BINS:
+            for scale in (0.05, 0.1):
+                for seed in (0, 1):
+                    yield ScenarioSpec(level, cap, seed=seed, scale_factor=scale), None
+    yield ScenarioSpec("L4", 800, seed=3, scale_factor=1.0), None
+    yield (ScenarioSpec("L4", 400, seed=5, scale_factor=0.1),
+           EpisodeConfig(episode_length_s=300.0, batch_window_s=2.0, match_radius_m=1000.0))
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    """Generation draws the same numbers in the same order: every level and
+    bin at two small scales, one scale-1.0 dataset and one with the C09
+    episode config save to the pinned bytes."""
+    h = hashlib.sha256()
+    path = tmp_path / "d.jsonl"
+    for spec, config in _pinned_grid():
+        save(generate(spec, config=config), path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == GENERATED_BYTES_DIGEST
