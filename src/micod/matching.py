@@ -228,7 +228,7 @@ def pool_cost_matrix(state, reward_mode: str) -> tuple[CostMatrix, np.ndarray]:
     values = np.zeros(shape)
     forbidden = np.ones(shape, dtype=bool)
     row_of_rc = np.full(shape, -1, dtype=np.int64)
-    values[r, c] = state.feature_matrix[:, F_PICKUP if reward_mode == "APD" else F_PRICE]
+    values[r, c] = state.feature(F_PICKUP if reward_mode == "APD" else F_PRICE)
     forbidden[r, c] = False
     row_of_rc[r, c] = np.arange(state.n_pairs)
     mode = "min" if reward_mode == "APD" else "max"

@@ -12,9 +12,10 @@ every lifecycle step is a masked column write, and no row is ever inserted,
 deleted or re-sorted. A step whose mask is known to be empty is skipped:
 arrivals are read from an arrival-time index, and completions wait for the
 earliest trip end. Idle drivers and open orders are the available rows,
-read in place by :meth:`SimState.eligible_pairs` and the environment's pool
-build. Order states (open / serving / completed / cancelled) and driver states
-(idle / serving / departed) always partition the appeared counts.
+copied out once per batch, read-only, and shared by
+:meth:`SimState.eligible_pairs` and the environment's pool build. Order
+states (open / serving / completed / cancelled) and driver states (idle /
+serving / departed) always partition the appeared counts.
 
 Income and pickup distance accrue at assignment time, summed once per batch so
 episode reward streams can be compared against the ledger bit-for-bit. Held
@@ -142,19 +143,31 @@ class SimState:
                           for t, count in ((drivers, "appeared_drivers"),
                                            (orders, "appeared_orders"))]
         self._next_done = math.inf  # the earliest trip completion, inf when none is due
+        # the ``idle`` and ``open_orders`` views, reset by every mutator after this
+        self._idle = self._open_orders = None
         self._spawn_until(self.clock + self.config.batch_window_s)
 
     # -- views -------------------------------------------------------------------
 
+    @staticmethod
+    def _available(table: np.ndarray) -> np.ndarray:
+        rows = table.compress(table["state"] == AVAILABLE)
+        rows.flags.writeable = False
+        return rows
+
     @property
     def idle(self) -> np.ndarray:
-        """Rows of the idle drivers, in id order."""
-        return self.drivers.compress(self.drivers["state"] == AVAILABLE)
+        """Rows of the idle drivers, in id order: a read-only copy, taken once per batch."""
+        if self._idle is None:
+            self._idle = self._available(self.drivers)
+        return self._idle
 
     @property
     def open_orders(self) -> np.ndarray:
-        """Rows of the open orders, in id order."""
-        return self.orders.compress(self.orders["state"] == AVAILABLE)
+        """Rows of the open orders, in id order: a read-only copy, taken once per batch."""
+        if self._open_orders is None:
+            self._open_orders = self._available(self.orders)
+        return self._open_orders
 
     @property
     def serving(self) -> np.ndarray:
@@ -191,6 +204,7 @@ class SimState:
         """
         if self.ledger.finalized:
             raise SimulationStateError("episode already finished")
+        self._idle = self._open_orders = None
         ledger, drivers, orders = self.ledger, self.drivers, self.orders
 
         batch_pickup = batch_income = 0.0
@@ -282,6 +296,7 @@ class SimState:
         deterministic once dispatched) and still-open orders cancel."""
         if self.ledger.finalized:
             return
+        self._idle = self._open_orders = None
         self._cancel(self.orders["state"] == AVAILABLE)
         self._release(self.drivers["state"] == SERVING)
         self.ledger.finalized = True

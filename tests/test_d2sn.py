@@ -46,16 +46,21 @@ def holding(params):
 
 
 def test_sampling_and_replay_reject_nonfinite_pool(params):
-    s = make_state([(1, 1), (2, 2)])
-    s.feature_matrix[1, 3] = np.nan
-    hold = ActionRecord(steps=[(1, None)], selected=[], held=[0, 1], exhaustive=False,
-                        logp=0.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        sample_action(s, holding(params), np.random.default_rng(0))  # a hold at step 0
-    with pytest.raises(ValueError, match="non-finite"):
-        sample_action(s, params, np.random.default_rng(0), force_exhaustive=True)
-    with pytest.raises(ValueError, match="non-finite"):
-        log_prob(s, hold, params)
+    # a NaN pool feature, and a NaN global entry beside four finite rows
+    bad_feature = make_state([(1, 1), (2, 2)])
+    bad_feature.feature_matrix[1, 3] = np.nan
+    bad_global = make_state([(1, 1), (1, 2), (2, 1), (2, 2)])
+    bad_global.global_info[1] = np.nan
+    for s, message in ((bad_feature, "non-finite pool features"),
+                       (bad_global, "non-finite global info")):
+        hold = ActionRecord(steps=[(1, None)], selected=[], held=list(range(s.n_pairs)),
+                            exhaustive=False, logp=0.0)
+        with pytest.raises(ValueError, match=message):
+            sample_action(s, holding(params), np.random.default_rng(0))  # a hold at step 0
+        with pytest.raises(ValueError, match=message):
+            sample_action(s, params, np.random.default_rng(0), force_exhaustive=True)
+        with pytest.raises(ValueError, match=message):
+            log_prob(s, hold, params)
 
 
 def test_encode_permutation_equivariance(params):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from micod import env as env_module
 from micod.autodiff import to_float
 from micod.core import Driver, EpisodeConfig, Location, Order
 from micod.d2sn import ActionRecord, D2snConfig, init_params, log_prob, sample_action
 from micod.env import (F_BATCH, F_BIAS, F_PATIENCE, F_PICKUP, F_PRICE, F_WAIT,
                        DispatchEnv, IllegalActionError, OuterState, global_info_dim,
                        mask_after_selection)
-from micod.scenario import Dataset
+from micod.harness import make_policy, parse_policy_id, run_episode
+from micod.matching import solve_pool
+from micod.scenario import Dataset, ScenarioSpec, generate
 
 
 def make_dataset(drivers, orders, **cfg_kwargs):
@@ -231,3 +234,80 @@ def test_pool_size_varies_across_batches():
     assert s0.n_pairs == 1
     _, s1, _ = env.finalize_batch([], [0])
     assert s1.n_pairs == 6  # 3 drivers x 2 orders after the second window
+
+
+# -- pool built from one snapshot, features on first read ---------------------------
+
+@pytest.fixture(scope="module")
+def small_world():
+    return generate(ScenarioSpec("L2", 400, seed=0, scale_factor=0.05))
+
+
+@pytest.mark.parametrize("mode", ["TDI", "APD"])
+def test_classical_eval_never_builds_feature_matrix(small_world, mode, monkeypatch):
+    builds = []
+
+    def spy(*args):
+        builds.append(args)
+        return pool_context(*args)
+
+    pool_context = env_module._pool_context
+    monkeypatch.setattr(env_module, "_pool_context", spy)
+    for policy_id in ["km", "greedy", "gs", "fixed_delay(3)"]:
+        policy = make_policy(parse_policy_id(policy_id), mode)
+        run_episode(small_world, policy, seed=0, reward_mode=mode)
+    assert builds == []
+    DispatchEnv(small_world, seed=0).reset().feature_matrix  # the spy sees a read
+    assert len(builds) == 1
+
+
+def km_states(dataset, read_at_once):
+    """Every outer state of a km episode, the terminal one included, and the
+    two cost columns of each as read while the episode ran."""
+    env = DispatchEnv(dataset, seed=3)
+    state, done = env.reset(), False
+    states, costs = [state], []
+    while True:
+        if read_at_once:
+            state.feature_matrix, state.global_info
+        costs.append((state.feature(F_PICKUP).copy(), state.feature(F_PRICE).copy()))
+        if done:
+            return states, costs
+        _, state, done = env.finalize_batch(solve_pool(state, "TDI", "km"), [])
+        states.append(state)
+
+
+def test_late_read_equals_read_at_once(small_world):
+    late, late_costs = km_states(small_world, read_at_once=False)
+    now, now_costs = km_states(small_world, read_at_once=True)
+    assert len(late) == len(now) == small_world.config.n_batches + 1
+    assert sum(s.n_pairs for s in late) > 0
+    for a, b, (pickup_a, price_a), (pickup_b, price_b) in zip(late, now, late_costs, now_costs):
+        # read only after the episode finished
+        assert np.array_equal(a.order_ids, b.order_ids)
+        assert a.feature_matrix.tobytes() == b.feature_matrix.tobytes()
+        assert a.global_info.tobytes() == b.global_info.tobytes()
+        assert pickup_a.tobytes() == pickup_b.tobytes()
+        assert price_a.tobytes() == price_b.tobytes()
+
+
+def test_cost_columns_equal_feature_matrix_columns(small_world):
+    states, costs = km_states(small_world, read_at_once=False)
+    for s, (pickup, price) in zip(states, costs):
+        assert pickup.tobytes() == s.feature_matrix[:, F_PICKUP].tobytes()
+        assert price.tobytes() == s.feature_matrix[:, F_PRICE].tobytes()
+        assert s.feature(F_PICKUP).tobytes() == pickup.tobytes()  # now a slice
+
+
+def test_entity_views_are_read_only(small_world):
+    env = DispatchEnv(small_world, seed=0)
+    state, done, written = env.reset(), False, 0
+    while not done:
+        for view, column in ((env.sim.idle, "x"), (env.sim.open_orders, "ox")):
+            assert not view.flags.writeable
+            if len(view):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[column][0] = 0.0
+                written += 1
+        _, state, done = env.finalize_batch(solve_pool(state, "TDI", "km"), [])
+    assert written > 0
