@@ -195,15 +195,10 @@ class DispatchEnv:
         cost columns now, the rest on first read (:func:`_pool_context`)."""
         sim = self._require_sim()
         cfg = self.config
-        pairs = sim.eligible_pairs()
-        driver_ids, order_ids = pairs.T
+        driver_ids, order_ids = sim.eligible_pairs().T
+        oi, di, dist = sim.eligible_rows()  # pool row -> entity rows, and its distance
         o, d = sim.open_orders, sim.idle
-        # pool row -> entity row
-        oi = np.searchsorted(o["id"], order_ids)
-        di = np.searchsorted(d["id"], driver_ids)
-        costs = {F_PICKUP: np.hypot(d["x"][di] - o["ox"][oi],
-                                    d["y"][di] - o["oy"][oi]) / cfg.match_radius_m,
-                 F_PRICE: o["price"][oi] / PRICE_SCALE}
+        costs = {F_PICKUP: dist / cfg.match_radius_m, F_PRICE: o["price"][oi] / PRICE_SCALE}
         return OuterState.from_snapshot(order_ids, driver_ids, costs,
                                         partial(_pool_context, o, d, oi, di, sim.clock, cfg))
 
@@ -213,9 +208,11 @@ class DispatchEnv:
         assignments and record its held rows, then advance one batch window."""
         sim = self._require_sim()
         state = self._last_state
-        pairs = np.stack([state.driver_ids, state.order_ids], axis=1)  # one per pool row
-        sim.step_batch(pairs[np.asarray(selected, dtype=np.int64)],
-                       pairs[np.asarray(held, dtype=np.int64)])
+
+        def pairs(rows: list[int]) -> np.ndarray | list:  # (driver_id, order_id) per pool row
+            return np.array([state.driver_ids[rows], state.order_ids[rows]]).T if len(rows) else []
+
+        sim.step_batch(pairs(selected), pairs(held))
 
         if self.reward_mode == "TDI":
             reward = sim.ledger.batch_income_sums[-1]

@@ -80,31 +80,39 @@ def km_match(m: CostMatrix) -> Assignment:
     constant shift cannot change the optimum within a cardinality class) and
     each side gets an unassigned-dummy diagonal priced above any augmenting
     path's cost swing, so the solver never trades cardinality for cost.
+
+    Solving the rows x cols matrix directly, with forbidden entries at the
+    same pad, finds an optimum too, and faster, but not always this one. In
+    TDI mode a pair's value is its order's price, so which driver serves an
+    order is a tie, and the direct solve breaks such ties another way: it
+    changes the episode of every ``km`` and ``fixed_delay(k)`` evaluation.
     """
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return []
     cost = m.cost_space()
     allowed = ~m.forbidden
-    if not allowed.any():
+    eligible = cost[allowed]
+    if not len(eligible):
         return []
-    shifted = cost - float(cost[allowed].min())
-    span = float(shifted[allowed].max())
+    low = float(eligible.min())
+    span = float(eligible.max() - low)  # the largest shifted entry: shifting is monotone
     pad = (min(rows, cols) + 1) * (span + 1.0)
 
     k = rows + cols
     big = np.full((k, k), np.inf)
-    big[:rows, :cols] = np.where(allowed, shifted, np.inf)
-    big[np.arange(rows), cols + np.arange(rows)] = pad
-    big[rows + np.arange(cols), np.arange(cols)] = pad
+    np.subtract(cost, low, out=big[:rows, :cols], where=allowed)
+    flat = big.ravel()
+    flat[cols:rows * k:k + 1] = pad  # (r, cols + r): row r unassigned
+    flat[rows * k::k + 1] = pad      # (rows + c, c): column c unassigned
     big[rows:, cols:] = 0.0
 
     from scipy.optimize import linear_sum_assignment  # only KM loads scipy
-    rr, cc = linear_sum_assignment(big)
-    out = [(int(r), int(c)) for r, c in zip(rr, cc)
-           if r < rows and c < cols and allowed[r, c]]
-    out.sort()
-    return out
+    rr, cc = linear_sum_assignment(big)  # rr is 0..k-1, so the pairs come out sorted
+    real = (rr < rows) & (cc < cols)
+    rr, cc = rr[real], cc[real]
+    real = allowed[rr, cc]
+    return list(zip(rr[real].tolist(), cc[real].tolist()))
 
 
 def brute_force_match(m: CostMatrix) -> Assignment:
@@ -222,17 +230,32 @@ def pool_cost_matrix(state, reward_mode: str) -> tuple[CostMatrix, np.ndarray]:
     from .env import F_PICKUP, F_PRICE
     if reward_mode not in ("APD", "TDI"):
         raise DomainError(f"reward mode must be 'APD' or 'TDI', got {reward_mode!r}")
-    order_ids, r = np.unique(state.order_ids, return_inverse=True)
-    driver_ids, c = np.unique(state.driver_ids, return_inverse=True)
-    shape = (len(order_ids), len(driver_ids))
-    values = np.zeros(shape)
-    forbidden = np.ones(shape, dtype=bool)
-    row_of_rc = np.full(shape, -1, dtype=np.int64)
-    values[r, c] = state.feature(F_PICKUP if reward_mode == "APD" else F_PRICE)
-    forbidden[r, c] = False
-    row_of_rc[r, c] = np.arange(state.n_pairs)
+    r, n_rows = _ranks(state.order_ids)
+    c, n_cols = _ranks(state.driver_ids)
+    cell = r * n_cols + c
+    values = np.zeros(n_rows * n_cols)
+    row_of_rc = np.full(n_rows * n_cols, -1, dtype=np.int64)
+    values[cell] = state.feature(F_PICKUP if reward_mode == "APD" else F_PRICE)
+    row_of_rc[cell] = np.arange(state.n_pairs)
+    shape = (n_rows, n_cols)
     mode = "min" if reward_mode == "APD" else "max"
-    return CostMatrix(values, mode=mode, forbidden=forbidden), row_of_rc
+    row_of_rc = row_of_rc.reshape(shape)
+    return CostMatrix(values.reshape(shape), mode=mode, forbidden=row_of_rc < 0), row_of_rc
+
+
+def _ranks(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each id among the distinct ids (``np.unique``'s inverse), and
+    how many there are, from one ``argsort``: memory in proportion to
+    ``len(ids)``, whatever the id values."""
+    if not len(ids):
+        return np.zeros(0, dtype=np.int64), 0
+    by_id = ids.argsort()
+    sorted_ids = ids[by_id]
+    rank = np.zeros(len(ids), dtype=np.int64)
+    (sorted_ids[1:] != sorted_ids[:-1]).cumsum(out=rank[1:])
+    ranked = np.empty_like(rank)
+    ranked[by_id] = rank
+    return ranked, int(rank[-1]) + 1
 
 
 def solve_pool(state, reward_mode: str, solver: str = "km") -> list[int]:

@@ -13,13 +13,16 @@ deleted or re-sorted. A step whose mask is known to be empty is skipped:
 arrivals are read from an arrival-time index, and completions wait for the
 earliest trip end. Idle drivers and open orders are the available rows,
 copied out once per batch, read-only, and shared by
-:meth:`SimState.eligible_pairs` and the environment's pool build. Order
+:meth:`SimState.eligible_pairs` and the environment's pool build; so is the
+pair search itself, with each pair's rows and distance. Order
 states (open / serving / completed / cancelled) and driver states (idle /
 serving / departed) always partition the appeared counts.
 
 Income and pickup distance accrue at assignment time, summed once per batch so
 episode reward streams can be compared against the ledger bit-for-bit. Held
-pairs stream into a running count, pickup sum and price sum.
+pairs stream into a running count, pickup sum and price sum. A pair held in
+two consecutive batches keeps its pickup distance: a held driver is idle in
+both, and an idle driver does not move.
 """
 
 from __future__ import annotations
@@ -109,12 +112,21 @@ def _table(dtype: np.dtype, rows: list[tuple], kind: str) -> np.ndarray:
     return table
 
 
-def _lookup(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row of each id in the id-sorted ``table``, and whether it is available."""
+def _lookup(table: np.ndarray, table_ids: np.ndarray,
+            ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each id in the id-sorted ``table``, and whether it is available.
+    ``table_ids`` is a contiguous copy of the id column, which searches about
+    twice as fast as the strided field."""
     if not len(table):
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
-    rows = np.minimum(np.searchsorted(table["id"], ids), len(table) - 1)
-    return rows, (table["id"][rows] == ids) & (table["state"][rows] == AVAILABLE)
+    rows = np.minimum(table_ids.searchsorted(ids), len(table) - 1)
+    return rows, (table_ids[rows] == ids) & (table["state"][rows] == AVAILABLE)
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """``reduce(add, values, total)`` at array speed: ``np.add.accumulate``
+    adds left to right, unlike the pairwise ``np.sum``."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
 class SimState:
@@ -134,6 +146,11 @@ class SimState:
         drivers["cell"] = cell_ids(drivers["x"], drivers["y"], self.config)
         orders["cell"] = cell_ids(orders["ox"], orders["oy"], self.config)
         orders["dcell"] = cell_ids(orders["dx"], orders["dy"], self.config)
+        # contiguous copies of the columns that never change and are read every batch
+        self._driver_ids, self._order_ids = drivers["id"].copy(), orders["id"].copy()
+        self._hazard, self._appear, self._patience = (
+            drivers["hazard"].copy(), orders["appear"].copy(), orders["patience"].copy())
+        self._may_leave = self._hazard > 0.0
         self.ledger = MetricsLedger()
         self.rng = np.random.default_rng(self.config.seed if seed is None else seed)
         # each table, the ledger count of its appeared rows, its rows in
@@ -143,8 +160,16 @@ class SimState:
                           for t, count in ((drivers, "appeared_drivers"),
                                            (orders, "appeared_orders"))]
         self._next_done = math.inf  # the earliest trip completion, inf when none is due
-        # the ``idle`` and ``open_orders`` views, reset by every mutator after this
-        self._idle = self._open_orders = None
+        # whether each row was ever held, which keeps the ledger's distinct-id
+        # sets to one update per newly held row
+        self._ever_held_d = np.zeros(len(drivers), dtype=bool)
+        self._ever_held_o = np.zeros(len(orders), dtype=bool)
+        # the last batch's held pairs as sorted (order row * n_drivers + driver
+        # row) keys and their pickup distances; None after a batch without holds
+        self._held = None
+        # the ``idle`` and ``open_orders`` views and the pair search, reset by
+        # every mutator after this
+        self._idle = self._open_orders = self._pairs = None
         self._spawn_until(self.clock + self.config.batch_window_s)
 
     # -- views -------------------------------------------------------------------
@@ -184,7 +209,7 @@ class SimState:
     def _spawn_until(self, limit: float) -> None:
         """Pending rows appearing before ``limit`` become available."""
         for table, count, order, times in self._arrivals:
-            start, stop = getattr(self.ledger, count), int(np.searchsorted(times, limit))
+            start, stop = getattr(self.ledger, count), int(times.searchsorted(limit))
             if stop > start:
                 table["state"][order[start:stop]] = AVAILABLE
                 setattr(self.ledger, count, stop)
@@ -204,14 +229,15 @@ class SimState:
         """
         if self.ledger.finalized:
             raise SimulationStateError("episode already finished")
-        self._idle = self._open_orders = None
+        self._idle = self._open_orders = self._pairs = None
         ledger, drivers, orders = self.ledger, self.drivers, self.orders
+        last_held, self._held = self._held, None
 
         batch_pickup = batch_income = 0.0
         if len(assignments):
             ids = np.asarray(assignments, dtype=np.int64).reshape(-1, 2)
-            d_rows, d_ok = _lookup(drivers, ids[:, 0])
-            o_rows, o_ok = _lookup(orders, ids[:, 1])
+            d_rows, d_ok = _lookup(drivers, self._driver_ids, ids[:, 0])
+            o_rows, o_ok = _lookup(orders, self._order_ids, ids[:, 1])
             seen_d, seen_o = set(), set()
             for (d_id, o_id), idle, open_ in zip(ids.tolist(), d_ok.tolist(), o_ok.tolist()):
                 if d_id in seen_d or o_id in seen_o:
@@ -243,32 +269,45 @@ class SimState:
 
         if held_pairs is not None and len(held_pairs):
             held = np.asarray(held_pairs, dtype=np.int64).reshape(-1, 2)
-            d_rows, d_ok = _lookup(drivers, held[:, 0])
-            o_rows, o_ok = _lookup(orders, held[:, 1])
+            d_rows, d_ok = _lookup(drivers, self._driver_ids, held[:, 0])
+            o_rows, o_ok = _lookup(orders, self._order_ids, held[:, 1])
             if not (d_ok.all() and o_ok.all()):  # the first unavailable pair, driver first
-                bad = int(np.flatnonzero(~(d_ok & o_ok))[0])
+                bad = int((~(d_ok & o_ok)).nonzero()[0][0])
                 d_id, o_id = held[bad].tolist()
                 raise ConstraintViolationError(f"held driver {d_id} is not idle" if not d_ok[bad]
                                                else f"held order {o_id} is not open")
+            keys = o_rows * len(drivers) + d_rows
+            if last_held is None:
+                pickups = np.array(self._pickups(d_rows, o_rows))
+            else:  # a pair held in the last batch keeps its distance
+                last_keys, last_pickups = last_held
+                at = last_keys.searchsorted(keys)
+                pickups = last_pickups.take(at, mode="clip")
+                new = (last_keys.take(at, mode="clip") != keys).nonzero()[0]
+                pickups[new] = self._pickups(d_rows[new], o_rows[new])
             ledger.held_pairs += len(held)
-            ledger.held_pickup_sum = reduce(add, self._pickups(d_rows, o_rows),
-                                            ledger.held_pickup_sum)
-            ledger.held_price_sum = reduce(add, orders["price"][o_rows].tolist(),
-                                           ledger.held_price_sum)
-            d_ids, o_ids = zip(*held.tolist())
-            ledger.held_distinct_driver_ids.update(d_ids)
-            ledger.held_distinct_order_ids.update(o_ids)
+            ledger.held_pickup_sum = _running_sum(ledger.held_pickup_sum, pickups)
+            ledger.held_price_sum = _running_sum(ledger.held_price_sum, orders["price"][o_rows])
+            for rows, ever, ids, distinct in (
+                    (d_rows, self._ever_held_d, self._driver_ids, ledger.held_distinct_driver_ids),
+                    (o_rows, self._ever_held_o, self._order_ids, ledger.held_distinct_order_ids)):
+                first = rows[~ever[rows]]
+                if len(first):
+                    ever[first] = True
+                    distinct.update(ids[first].tolist())
+            by_key = keys.argsort()
+            self._held = keys[by_key], pickups[by_key]
 
         self.clock += self.config.batch_window_s
         if self._next_done <= self.clock:
             self._release((drivers["state"] == SERVING) & (drivers["done"] <= self.clock))
         self._spawn_until(self.clock + self.config.batch_window_s)
         self._cancel((orders["state"] == AVAILABLE)
-                     & (self.clock - orders["appear"] >= orders["patience"]))
+                     & (self.clock - self._appear >= self._patience))
         # one uniform draw per idle driver with a positive hazard, in id order
-        at_risk = np.flatnonzero((drivers["state"] == AVAILABLE) & (drivers["hazard"] > 0.0))
+        at_risk = ((drivers["state"] == AVAILABLE) & self._may_leave).nonzero()[0]
         if len(at_risk):
-            leave = self.rng.random(len(at_risk)) < drivers["hazard"][at_risk]
+            leave = self.rng.random(len(at_risk)) < self._hazard[at_risk]
             drivers["state"][at_risk[leave]] = GONE
         return self
 
@@ -296,7 +335,7 @@ class SimState:
         deterministic once dispatched) and still-open orders cancel."""
         if self.ledger.finalized:
             return
-        self._idle = self._open_orders = None
+        self._idle = self._open_orders = self._pairs = None
         self._cancel(self.orders["state"] == AVAILABLE)
         self._release(self.drivers["state"] == SERVING)
         self.ledger.finalized = True
@@ -309,21 +348,46 @@ class SimState:
 
     def eligible_pairs(self) -> np.ndarray:
         """n x 2 int64 array of (driver_id, order_id) rows within the match
-        radius, in (order id, driver id) order. One ``np.hypot`` broadcast
-        decides all but the pairs within a few ulps of the radius, where it
-        may round apart from :func:`~micod.core.distance`, which decides those."""
+        radius, in (order id, driver id) order; read-only, searched once per
+        batch. One ``np.hypot`` broadcast decides all but the pairs within a
+        few ulps of the radius, where it may round apart from
+        :func:`~micod.core.distance`, which decides those."""
+        return self._search()[0]
+
+    def eligible_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each eligible pair's row in :attr:`open_orders`, its row in
+        :attr:`idle` and its ``np.hypot`` distance, from the same search as
+        :meth:`eligible_pairs`."""
+        return self._search()[1:]
+
+    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The batch's pair search, run on first use: ids, the two row
+        arrays and the distances, all read-only."""
+        if self._pairs is None:
+            self._pairs = self._eligible()
+            for a in self._pairs:
+                a.flags.writeable = False
+        return self._pairs
+
+    def _eligible(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         o, d = self.open_orders, self.idle
         if not len(o) or not len(d):  # a third of batches in small worlds
-            return np.empty((0, 2), dtype=np.int64)
+            none = np.empty(0, dtype=np.int64)
+            return np.empty((0, 2), dtype=np.int64), none, none, np.empty(0)
         r = self.config.match_radius_m
+        tol = 4 * math.ulp(r)
         dx = d["x"] - o["ox"][:, None]
         dy = d["y"] - o["oy"][:, None]
         dist = np.hypot(dx, dy)
-        eligible = dist <= r
-        near = np.nonzero(np.abs(dist - r) <= 4 * np.spacing(r))
-        eligible[near] = [h <= r for h in map(math.hypot, dx[near].tolist(), dy[near].tolist())]
-        rows, cols = np.nonzero(eligible)
-        return np.array([d["id"][cols], o["id"][rows]]).T
+        rows, cols = (dist <= r + tol).nonzero()
+        pair_dist = dist[rows, cols]
+        near = (pair_dist >= r - tol).nonzero()[0]
+        if len(near):
+            keep = np.ones(len(rows), dtype=bool)
+            keep[near] = [h <= r for h in map(math.hypot, dx[rows[near], cols[near]].tolist(),
+                                               dy[rows[near], cols[near]].tolist())]
+            rows, cols, pair_dist = rows[keep], cols[keep], pair_dist[keep]
+        return np.array([d["id"][cols], o["id"][rows]]).T, rows, cols, pair_dist
 
     def order_state_counts(self) -> dict[str, int]:
         return {"open": len(self.open_orders), "serving": len(self.serving),

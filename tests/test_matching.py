@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,22 @@ def test_km_max_mode():
     m = CostMatrix(np.array([[1.0, 2.0], [2.0, 100.0]]), mode="max")
     assert m.total(km_match(m)) == 101.0
     assert km_match(m) == [(0, 0), (1, 1)]
+
+
+def test_km_tie_break_pinned():
+    """Values that depend only on the row, like TDI prices, make many
+    assignments optimal; the padded (rows + cols)^2 solve picks these. A
+    rows x cols solve picks others (here [(0, 1), (1, 0)] and
+    [(0, 0), (1, 1)]), and with them it changes 256 of perfbench's 512
+    eval_classical reference rows: every km and fixed_delay(5) case."""
+    prices = np.array([2.0, 4.0, 1.0, 1.0])
+    m = CostMatrix(np.repeat(prices[:, None], 2, axis=1), mode="max",
+                   forbidden=[[0, 0], [0, 0], [0, 0], [1, 0]])
+    assert km_match(m) == [(0, 0), (1, 1)]
+    prices = np.array([3.0, 1.0, 1.0])
+    m = CostMatrix(np.repeat(prices[:, None], 2, axis=1), mode="max",
+                   forbidden=[[0, 0], [0, 0], [1, 0]])
+    assert km_match(m) == [(0, 0), (2, 1)]
 
 
 def test_brute_force_1x3():
@@ -216,6 +234,37 @@ def test_pool_cost_matrix_hand_instance():
         assert solve_pool(state, "TDI", solver) == [1, 2]
     with pytest.raises(DomainError, match="'APD' or 'TDI'"):
         pool_cost_matrix(state, "price")
+
+
+def test_pool_cost_matrix_unsorted_sparse_ids():
+    """A caller-built pool in no particular row order, with ids far apart,
+    gives np.unique's ranking in memory bounded by the pool."""
+    rng = np.random.default_rng(5)
+    order_pool = np.array([0, 2**40, 7, 2**40 + 3, 19, 2**62])
+    driver_pool = np.array([2**40, 0, 3, 2**33, 11])
+    n_d = len(driver_pool)
+    cells = rng.permutation(len(order_pool) * n_d)[:20]  # distinct pairs
+    order_ids, driver_ids = order_pool[cells // n_d], driver_pool[cells % n_d]
+    feats = rng.random((20, N_PAIR_FEATURES))
+    state = OuterState(global_info=np.zeros(4), order_ids=order_ids,
+                       driver_ids=driver_ids, feature_matrix=feats)
+    tracemalloc.start()
+    try:
+        m, row_of_rc = pool_cost_matrix(state, "APD")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+    _, r = np.unique(order_ids, return_inverse=True)
+    _, c = np.unique(driver_ids, return_inverse=True)
+    shape = (len(set(order_ids.tolist())), len(set(driver_ids.tolist())))
+    values, expected_rows = np.zeros(shape), np.full(shape, -1)
+    values[r, c] = feats[:, F_PICKUP]
+    expected_rows[r, c] = np.arange(20)
+    assert np.array_equal(m.values, values)
+    assert np.array_equal(m.forbidden, expected_rows < 0)
+    assert np.array_equal(row_of_rc, expected_rows)
 
 
 def test_fixed_delay_schedule():

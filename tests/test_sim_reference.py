@@ -305,3 +305,21 @@ def test_serving_driver_rejected_by_both():
         sim.finish()
         with pytest.raises(SimulationStateError):
             sim.step_batch([], [])
+
+
+def test_pair_held_again_after_its_driver_moved():
+    """A pair keeps its pickup distance only from the batch right before: here
+    it is held, not held while its driver serves another order, and held
+    again from the driver's new position, 1,800 m away instead of 1,200 m."""
+    drivers = [Driver(3, Location(0, 0), 0.0)]
+    orders = [Order(4, Location(0, 1200), Location(900, 900), 10.0, 0.0, 600.0, 100.0),
+              Order(6, Location(0, 0), Location(0, 3000), 12.0, 0.0, 600.0, 2.0)]
+    ds = Dataset(config=EpisodeConfig(), drivers=drivers, orders=orders)
+    sim, ref = SimState(ds, seed=0), ReferenceSim(ds, seed=0)
+    for assignments, held in (([], [(3, 4)]),   # held 1,200 m from order 4
+                              ([(3, 6)], []),   # serves order 6, idle at (0, 3000) after it
+                              ([], [(3, 4)])):  # held again, now 1,800 m away
+        sim.step_batch(assignments, held)
+        ref.step_batch(assignments, held)
+        assert_same_world(sim, ref)
+    assert sim.ledger.held_pickup_sum == 1200.0 + 1800.0
