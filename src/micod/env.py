@@ -208,11 +208,10 @@ class DispatchEnv:
         assignments and record its held rows, then advance one batch window."""
         sim = self._require_sim()
         state = self._last_state
-
-        def pairs(rows: list[int]) -> np.ndarray | list:  # (driver_id, order_id) per pool row
-            return np.array([state.driver_ids[rows], state.order_ids[rows]]).T if len(rows) else []
-
-        sim.step_batch(pairs(selected), pairs(held))
+        selected, held = np.asarray(selected, dtype=np.int64), np.asarray(held, dtype=np.int64)
+        # (driver_id, order_id) per row; np.array(...).T is cheaper than np.column_stack
+        sim.step_batch(np.array([state.driver_ids[selected], state.order_ids[selected]]).T,
+                       np.array([state.driver_ids[held], state.order_ids[held]]).T)
 
         if self.reward_mode == "TDI":
             reward = sim.ledger.batch_income_sums[-1]

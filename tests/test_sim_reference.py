@@ -308,9 +308,10 @@ def test_serving_driver_rejected_by_both():
 
 
 def test_pair_held_again_after_its_driver_moved():
-    """A pair keeps its pickup distance only from the batch right before: here
-    it is held, not held while its driver serves another order, and held
-    again from the driver's new position, 1,800 m away instead of 1,200 m."""
+    """A held pair's pickup distance is measured from where its driver is now:
+    here the pair is held, not held while its driver serves another order, and
+    held again from the driver's new position, 1,800 m away instead of 1,200 m.
+    A distance reused from an earlier hold would give 2,400 m."""
     drivers = [Driver(3, Location(0, 0), 0.0)]
     orders = [Order(4, Location(0, 1200), Location(900, 900), 10.0, 0.0, 600.0, 100.0),
               Order(6, Location(0, 0), Location(0, 3000), 12.0, 0.0, 600.0, 2.0)]
