@@ -311,7 +311,7 @@ def test_pair_held_again_after_its_driver_moved():
     """A held pair's pickup distance is measured from where its driver is now:
     here the pair is held, not held while its driver serves another order, and
     held again from the driver's new position, 1,800 m away instead of 1,200 m.
-    A distance reused from an earlier hold would give 2,400 m."""
+    A distance reused from an earlier hold would make the sum 2,400 m."""
     drivers = [Driver(3, Location(0, 0), 0.0)]
     orders = [Order(4, Location(0, 1200), Location(900, 900), 10.0, 0.0, 600.0, 100.0),
               Order(6, Location(0, 0), Location(0, 3000), 12.0, 0.0, 600.0, 2.0)]
