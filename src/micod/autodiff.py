@@ -348,25 +348,22 @@ def _length_classes(lengths: np.ndarray):
     return groups
 
 
-def _attend_heads(q, k, v, n_heads: int, neg, step: int, out, saved=None):
-    """Softmax attention of each head over the last two axes, written into
-    ``out``: query rows in slices of ``step``, keys offset by ``neg``
-    (``-inf`` masks one). ``saved`` collects each slice's (head columns,
-    ``e``, ``den``, ``att``) for a backward pass."""
+def _head_slices(q, k, n_heads: int, neg, step: int):
+    """Softmax attention weights of each head over the last two axes, query
+    rows in slices of ``step``, keys offset by ``neg`` (``-inf`` masks one).
+    Yields each slice's rows and head columns ``at``, the head's ``cols`` and
+    the slice's ``e``, ``den`` and ``att``; its output is ``att @ v[cols]``."""
     dh = q.shape[-1] // n_heads
     scale = math.sqrt(dh)
     for j in range(n_heads):
         cols = (Ellipsis, slice(j * dh, (j + 1) * dh))
-        k_t, v_j = k[cols].swapaxes(-1, -2), v[cols]
+        k_t = k[cols].swapaxes(-1, -2)
         for lo in range(0, q.shape[-2], step):
             at = (Ellipsis, slice(lo, lo + step), cols[1])
             s = (q[at] @ k_t) / scale + neg
             e = np.exp(s - s.max(axis=-1, keepdims=True))
             den = e.sum(axis=-1, keepdims=True)
-            att = e / den
-            out[at] = att @ v_j
-            if saved is not None:
-                saved.append((cols, e, den, att))
+            yield at, cols, e, den, e / den
 
 
 def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
@@ -375,16 +372,18 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
     ``(sum(lengths), d)`` projections and head ``j`` reads columns ``j * d /
     n_heads`` up to the next head's. Returns the heads side by side, before
     any output projection. Sets of similar length are padded into one block
-    and the padded keys masked. Plain arrays are attended in slices of query
-    rows, so no score array holds more than ``ATTENTION_CELLS`` cells per
-    head; Tensor mode keeps each block's score arrays whole for backward."""
+    and the padded keys masked. Both modes attend a block in slices of
+    ``max(1, ATTENTION_CELLS // (sets x width))`` query rows, so no score
+    array holds more than ``ATTENTION_CELLS`` cells per head; backward
+    recomputes each slice from the block's q, k and v."""
     args = (q, k, v)
     q_, k_, v_ = (detach(a) for a in args)
     track = _any_tensor(args)
     out = np.empty_like(q_)
     if len(lengths) == 1 and not track:
-        n = len(q_)
-        _attend_heads(q_, k_, v_, n_heads, 0.0, max(1, ATTENTION_CELLS // n), out)
+        step = max(1, ATTENTION_CELLS // len(q_))
+        for at, cols, _, _, att in _head_slices(q_, k_, n_heads, 0.0, step):
+            out[at] = att @ v_[cols]
         return out
     starts = _starts(lengths)
     blocks = []
@@ -395,13 +394,13 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
         src = starts[sets][:, None] + np.where(valid, np.arange(width), 0)
         q3, k3, v3 = q_[src], k_[src], v_[src]
         neg = np.where(valid, 0.0, -np.inf)[:, None, :]
+        step = max(1, ATTENTION_CELLS // (len(sets) * width))
         merged = np.empty(q3.shape)
-        step = width if track else max(1, ATTENTION_CELLS // (len(sets) * width))
-        saved = [] if track else None
-        _attend_heads(q3, k3, v3, n_heads, neg, step, merged, saved)
+        for at, cols, _, _, att in _head_slices(q3, k3, n_heads, neg, step):
+            merged[at] = att @ v3[cols]
         out[src[valid]] = merged[valid]
         if track:
-            blocks.append((src, valid, q3, k3, v3, saved))
+            blocks.append((src, valid, q3, k3, v3, neg, step))
     if not track:
         return out
     q_t, k_t, v_t = (_wrap(a) for a in args)
@@ -409,18 +408,18 @@ def masked_attention(q, k, v, n_heads: int, lengths: np.ndarray):
 
     def back(g):
         g_q, g_k, g_v = (np.zeros_like(q_) for _ in range(3))
-        for src, valid, q3, k3, v3, saved in blocks:
+        for src, valid, q3, k3, v3, neg, step in blocks:
             g3 = np.zeros(q3.shape)
             g3[valid] += g[src[valid]]
             g_q3, g_k3, g_v3 = (np.zeros(q3.shape) for _ in range(3))
-            for cols, e, den, att in saved:
-                g_out = g3[cols]
+            for at, cols, e, den, att in _head_slices(q3, k3, n_heads, neg, step):
+                g_out = g3[at]
                 g_att = g_out @ np.swapaxes(v3[cols], 1, 2)
                 g_v3[cols] += np.swapaxes(att, 1, 2) @ g_out
                 g_den = _unbroadcast(-g_att * e / (den ** 2), den.shape)
                 g_s = ((g_att / den + g_den) * e) / scale
-                g_q3[cols] += g_s @ k3[cols]
-                g_k3[cols] += np.swapaxes(np.swapaxes(q3[cols], 1, 2) @ g_s, 1, 2)
+                g_q3[at] += g_s @ k3[cols]
+                g_k3[cols] += np.swapaxes(np.swapaxes(q3[at], 1, 2) @ g_s, 1, 2)
             np.add.at(g_q, src, g_q3)
             np.add.at(g_k, src, g_k3)
             np.add.at(g_v, src, g_v3)

@@ -170,7 +170,8 @@ def _run_train(args) -> int:
     check_network_fits(net, f"the network shaped by dataset {paths[0]}", named)
     latest = os.path.join(args.out, "latest.ckpt")
     if args.resume and os.path.exists(latest):
-        check_network_fits(load_checkpoint(latest)[0].config, f"checkpoint {latest}", named)
+        net = load_checkpoint(latest)[0].config
+        check_network_fits(net, f"checkpoint {latest}", named)
     params = init_params(net, seed=cfg.seed)
     print(f"model parameters: {params.param_count}")
 

@@ -431,7 +431,6 @@ def test_c12_eval_csv_byte_deterministic(tmp_path):
     plan = EvalPlan(policies=[PolicySpec(kind="km"), PolicySpec(kind="fixed_delay", delay=3)],
                     dataset_paths=[ds_path], seeds=[0], reward_mode="TDI")
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    os.environ.pop("MICOD_THREADS", None)
     cmd_eval(plan, out1)
     cmd_eval(plan, out2)
     assert _strip_wallclock(out1) == _strip_wallclock(out2)

@@ -412,6 +412,8 @@ def test_one_set_attention_in_query_slices(monkeypatch, n, n_heads):
         assert_bitwise(sliced, whole)
     else:
         np.testing.assert_allclose(sliced, whole, rtol=1e-12, atol=1e-15)
+    # Tensor mode attends the set in the same slices
+    assert_bitwise(run_and_backprop(one_set, arrays, ATT_INPUTS, np.ones((n, 8)))[0], sliced)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -420,7 +422,8 @@ def test_split_groups_agree_in_numpy_and_tensor_mode(monkeypatch, n_heads):
     weight = np.random.default_rng(12).normal(size=(ROWS, 8))
     fused = partial(masked_attention, n_heads=n_heads, lengths=LENGTHS)
     val, grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
-    # groups [7], [5], [4], [3, 2], [1]; numpy mode slices the sets of 7 and 5
+    # groups [7], [5], [4], [3, 2], [1]; both modes slice the sets of 7 and 5,
+    # and backward recomputes the same slices
     monkeypatch.setattr(autodiff, "ATTENTION_CELLS", 20)
     split_val, split_grads = run_and_backprop(fused, arrays, ATT_INPUTS, weight)
     for got in (split_val, fused(**arrays)):
@@ -433,13 +436,20 @@ def test_split_groups_agree_in_numpy_and_tensor_mode(monkeypatch, n_heads):
 def test_attention_memory_stays_within_the_bound(lengths):
     # one score matrix of 3,000 rows is 69 MiB; a slice of the bound is 8 MiB
     arrays = att_arrays(sum(lengths), d=32, seed=13)
+    weight = np.random.default_rng(14).normal(size=(sum(lengths), 32))
+    attend = partial(masked_attention, n_heads=2, lengths=np.array(lengths))
     tracemalloc.start()
     try:
-        masked_attention(**arrays, n_heads=2, lengths=np.array(lengths))
-        _, peak = tracemalloc.get_traced_memory()
+        attend(**arrays)
+        _, numpy_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        run_and_backprop(attend, arrays, ATT_INPUTS, weight)
+        _, tensor_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert numpy_peak <= 64 * 2**20
+    # Tensor mode keeps no score array for backward, which holds a few slices
+    assert tensor_peak <= 128 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

@@ -82,7 +82,6 @@ def _without_wallclock(path) -> str:
 def test_golden_eval_csv(tmp_path, monkeypatch):
     # relative paths keep the dataset and checkpoint names out of tmp_path
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MICOD_THREADS", raising=False)
     ds = generate(_spec())
     scenario.save(ds, "L2_400.jsonl")
     save_checkpoint(init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0),

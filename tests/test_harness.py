@@ -573,16 +573,17 @@ def test_cli_out_under_a_file_fails_before_any_work(tmp_path, capsys, monkeypatc
     assert captured.err.startswith(f"data error: --out {out}: ")
 
 
-def _resume_snapshot(tmp_path, drop=(), **extra):
+def _resume_snapshot(tmp_path, drop=(), d_model=32, **extra):
     """A train config over a small dataset and a run directory whose
-    ``latest.ckpt`` is a well-formed snapshot after one iteration, less the
-    entries and tensors named in ``drop`` and with ``extra`` entries changed."""
+    ``latest.ckpt`` is a well-formed snapshot after one iteration of a
+    ``d_model``-wide network, less the entries and tensors named in ``drop``
+    and with ``extra`` entries changed."""
     from micod.d2sn import D2snConfig, init_params, save_checkpoint
     from micod.env import global_info_dim
 
     ds_path = tmp_path / "d.jsonl"
     ds = small_dataset(str(ds_path))
-    params = init_params(D2snConfig(g_dim=global_info_dim(ds.config)), seed=0)
+    params = init_params(D2snConfig(d_model=d_model, g_dim=global_info_dim(ds.config)), seed=0)
     for name in list(params.tensors):
         params.tensors["opt_m_" + name] = np.zeros_like(params.tensors[name])
         params.tensors["opt_v_" + name] = np.zeros_like(params.tensors[name])
@@ -601,6 +602,16 @@ def _resume_snapshot(tmp_path, drop=(), **extra):
 
 def test_cli_train_resumes_a_complete_snapshot(tmp_path):
     assert main(_resume_snapshot(tmp_path)) == EXIT_OK
+
+
+def test_cli_train_resume_prints_the_resumed_parameter_count(tmp_path, capsys):
+    from micod.d2sn import load_checkpoint
+
+    argv = _resume_snapshot(tmp_path, d_model=8)
+    assert main(argv) == EXIT_OK
+    final, _ = load_checkpoint(tmp_path / "run" / "final.ckpt")
+    assert final.config.d_model == 8
+    assert f"model parameters: {final.param_count}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("named", ["rng_state", "opt_t", "iteration", "episodes", "wallclock",

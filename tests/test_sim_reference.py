@@ -213,16 +213,23 @@ def assert_same_world(sim: SimState, ref: ReferenceSim):
     sim.assert_conservation()
 
 
-def random_batch(ref: ReferenceSim, rng: np.random.Generator):
+def random_batch(ref: ReferenceSim, rng: np.random.Generator, last_held=()):
     """One-to-one assignments over idle x open, plus held pairs (repeats
-    allowed) over what stays available."""
+    allowed) over what stays available. ``last_held`` are the pairs of the
+    last batch that held any. While one of their orders is open and its
+    driver is away (serving, or assigned now), nothing is held, so that the
+    pair is often held again after its driver has moved; otherwise each of
+    them still available is held again with probability 3/4, and up to four
+    random pairs join."""
     idle, open_ = sorted(ref.idle), sorted(ref.open_orders)
     d_perm = rng.permutation(idle).tolist()
     o_perm = rng.permutation(open_).tolist()
     k = int(rng.integers(0, min(len(idle), len(open_)) + 1))
     assignments = list(zip(d_perm[:k], o_perm[:k]))
     rest_d, rest_o = d_perm[k:], o_perm[k:]
-    held = []
+    if any(d not in rest_d and o in rest_o for d, o in last_held):
+        return assignments, []
+    held = [(d, o) for d, o in last_held if d in rest_d and o in rest_o and rng.random() < 0.75]
     if rest_d and rest_o:
         for _ in range(int(rng.integers(0, 5))):
             held.append((rest_d[int(rng.integers(len(rest_d)))],
@@ -254,17 +261,22 @@ def test_entity_tables_match_dict_reference(drivers, orders, driver_ids, order_i
                           for i, (x, y, t, h) in zip(driver_ids, drivers)],
                  orders=[Order(j, Location(ox, oy), Location(dx, dy), price, t, pat, trip)
                          for j, (ox, oy, dx, dy, price, t, pat, trip) in zip(order_ids, orders)])
-    sim, ref = SimState(ds, seed=seed), ReferenceSim(ds, seed=seed)
     rng = np.random.default_rng(seed)
-    assert_same_world(sim, ref)
-    while not sim.episode_over:
-        assignments, held = random_batch(ref, rng)
-        sim.step_batch(assignments, held)
-        ref.step_batch(assignments, held)
+    # a pair held again after its driver moved needs a patient order and a
+    # short trip, so each world is driven by four random decision sequences
+    for _ in range(4):
+        sim, ref = SimState(ds, seed=seed), ReferenceSim(ds, seed=seed)
         assert_same_world(sim, ref)
-    sim.finish()
-    ref.finish()
-    assert_same_world(sim, ref)
+        last_held = []
+        while not sim.episode_over:
+            assignments, held = random_batch(ref, rng, last_held)
+            sim.step_batch(assignments, held)
+            ref.step_batch(assignments, held)
+            assert_same_world(sim, ref)
+            last_held = held or last_held
+        sim.finish()
+        ref.finish()
+        assert_same_world(sim, ref)
 
 
 # -- invalid input ---------------------------------------------------------------------
