@@ -12,10 +12,12 @@ import glob
 import os
 import sys
 
-from .d2sn import CheckpointError
+from .d2sn import CheckpointError, D2snConfig, init_params, load_checkpoint
+from .env import global_info_dim
 from .harness import (DataError, EvalPlan, UsageError, check_network_fits, cmd_eval, cmd_generate,
                       cmd_report, parse_policy_id)
-from .scenario import CAPACITY_BINS, RATIO_BANDS, DatasetParseError
+from .scenario import CAPACITY_BINS, RATIO_BANDS, DatasetParseError, classify, load
+from .trainer import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,9 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_train(args) -> int:
-    from .scenario import load
-    from .trainer import TrainConfig, train
-
     _check_out_dir(args.out)
     raw = parse_config_file(args.config)
     dataset_field = raw.pop("datasets", None)
@@ -160,9 +159,6 @@ def _run_train(args) -> int:
     except ValueError as exc:
         raise DataError(f"{args.config}: {exc}") from exc
     datasets = [load(p) for p in paths]
-
-    from .d2sn import D2snConfig, init_params, load_checkpoint
-    from .env import global_info_dim
     net = D2snConfig(g_dim=global_info_dim(datasets[0].config))
     # One network reads every dataset: the one the first dataset shapes, or
     # the one a resumed run continues.
@@ -172,8 +168,7 @@ def _run_train(args) -> int:
     if args.resume and os.path.exists(latest):
         net = load_checkpoint(latest)[0].config
         check_network_fits(net, f"checkpoint {latest}", named)
-    params = init_params(net, seed=cfg.seed)
-    print(f"model parameters: {params.param_count}")
+    print(f"model parameters: {init_params(net).param_count}")
 
     def progress(row, diag):
         print(f"iter {row['iteration']:4d}  episodes {row['episodes']:5d}  "
@@ -182,8 +177,7 @@ def _run_train(args) -> int:
               f"clip {diag.get('clip_fraction', 0.0):.2f}")
 
     result = train(cfg, datasets, out_dir=args.out, reward_mode=reward_mode,
-                   net_config=net, params=params, resume=args.resume,
-                   progress=progress)
+                   net_config=net, resume=args.resume, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"curves: {os.path.join(args.out, 'curves.csv')}")
     return EXIT_OK
@@ -211,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
                                  "(flags or config entries)")
             _check_out_dir(out)
             paths = cmd_generate(level, cap, count, scale, seed, out)
-            from .scenario import classify, load
             for path in paths:
                 ds = load(path)
                 cell = classify(ds)

@@ -450,7 +450,9 @@ _VERSION = 1
 def save_checkpoint(params: D2snParams, path, extra: dict | None = None) -> None:
     """Versioned binary container: magic, version, JSON header (config echo,
     parameter count, tensor name order, extras), then each tensor with a shape
-    prefix. Byte-identical across save/load/save."""
+    prefix. Byte-identical across save/load/save. The file is written beside
+    ``path`` and moved onto it whole, so a save that fails partway leaves any
+    earlier file at ``path`` as it was."""
     names = list(params.tensors.keys())
     header = {
         "config": asdict(params.config),
@@ -459,16 +461,23 @@ def save_checkpoint(params: D2snParams, path, extra: dict | None = None) -> None
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in names:
-            arr = np.ascontiguousarray(params.tensors[name], dtype=np.float64)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name in names:
+                arr = np.ascontiguousarray(params.tensors[name], dtype=np.float64)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class CheckpointError(ValueError):

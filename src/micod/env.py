@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import EpisodeConfig
 from .scenario import Dataset
-from .simulator import SimState
+from .simulator import SimState, episode_metrics
 
 # Pair feature schema (12 columns). Normalizers keep magnitudes near [0, 1].
 F_PICKUP = 0          # pickup distance / match radius
@@ -225,7 +225,6 @@ class DispatchEnv:
         return reward, self._last_state, done
 
     def metrics(self):
-        from .simulator import episode_metrics
         return episode_metrics(self._require_sim().ledger)
 
     def _require_sim(self) -> SimState:

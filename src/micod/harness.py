@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import re
 import time
@@ -362,7 +363,6 @@ def cmd_generate(level: str, capacity_bin: int, count: int, scale: float,
             "realized_ratio": ds.ds_ratio(),
             "classified": list(cell) if cell else None,
         })
-    import json
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest_lines, fh, indent=2)
         fh.write("\n")

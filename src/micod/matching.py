@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError
+from .env import F_PICKUP, F_PRICE
 
 Assignment = list[tuple[int, int]]  # (row, col) = (order index, driver index)
 
@@ -227,7 +228,6 @@ def pool_cost_matrix(state, reward_mode: str) -> tuple[CostMatrix, np.ndarray]:
     rows x cols array of the pool row behind each eligible entry (-1 where
     forbidden).
     """
-    from .env import F_PICKUP, F_PRICE
     if reward_mode not in ("APD", "TDI"):
         raise DomainError(f"reward mode must be 'APD' or 'TDI', got {reward_mode!r}")
     r, n_rows = _ranks(state.order_ids)

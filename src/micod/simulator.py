@@ -11,12 +11,13 @@ walks each row from pending to available (to serving, for drivers) to gone;
 every lifecycle step is a masked column write, and no row is ever inserted,
 deleted or re-sorted. A step whose mask is known to be empty is skipped:
 arrivals are read from an arrival-time index, and completions wait for the
-earliest trip end. Idle drivers and open orders are the available rows,
-copied out once per batch, read-only, and shared by
-:meth:`SimState.eligible_pairs` and the environment's pool build; so is the
-pair search itself, with each pair's rows and distance. Order
-states (open / serving / completed / cancelled) and driver states (idle /
-serving / departed) always partition the appeared counts.
+earliest trip end. Order states (open / serving / completed / cancelled) and
+driver states (idle / serving / departed) always partition the appeared counts.
+
+Each batch has one read-only view, built whole on first use and dropped by
+every mutator: the idle-driver rows, the open-order rows and the pair search
+over them. A batch is checked whole before any of it is written, so a
+rejected batch leaves the world unchanged.
 
 Income and pickup distance accrue at assignment time, summed once per batch so
 episode reward streams can be compared against the ledger bit-for-bit. Held
@@ -163,32 +164,31 @@ class SimState:
                           for t, count in ((drivers, "appeared_drivers"),
                                            (orders, "appeared_orders"))]
         self._next_done = math.inf  # the earliest trip completion, inf when none is due
-        # the ``idle`` and ``open_orders`` views and the pair search, reset by
-        # every mutator after this
-        self._idle = self._open_orders = self._pairs = None
+        self._batch = None  # :meth:`_view`, reset by every mutator after this
         self._spawn_until(self.clock + self.config.batch_window_s)
 
     # -- views -------------------------------------------------------------------
 
-    @staticmethod
-    def _available(table: np.ndarray) -> np.ndarray:
-        rows = table.compress(table["state"] == AVAILABLE)
-        rows.flags.writeable = False
-        return rows
+    def _view(self) -> tuple[np.ndarray, ...]:
+        """The batch view, built whole on first use: the idle drivers' rows,
+        the open orders' rows, then the pair search's ids, order rows, driver
+        rows and distances. All are read-only copies."""
+        if self._batch is None:
+            idle, open_ = (t.compress(t["state"] == AVAILABLE) for t in (self.drivers, self.orders))
+            self._batch = (idle, open_, *self._eligible(idle, open_))
+            for a in self._batch:
+                a.flags.writeable = False
+        return self._batch
 
     @property
     def idle(self) -> np.ndarray:
-        """Rows of the idle drivers, in id order: a read-only copy, taken once per batch."""
-        if self._idle is None:
-            self._idle = self._available(self.drivers)
-        return self._idle
+        """Rows of the idle drivers, in id order, from the batch view."""
+        return self._view()[0]
 
     @property
     def open_orders(self) -> np.ndarray:
-        """Rows of the open orders, in id order: a read-only copy, taken once per batch."""
-        if self._open_orders is None:
-            self._open_orders = self._available(self.orders)
-        return self._open_orders
+        """Rows of the open orders, in id order, from the batch view."""
+        return self._view()[1]
 
     @property
     def serving(self) -> np.ndarray:
@@ -218,18 +218,18 @@ class SimState:
 
     def step_batch(self,
                    assignments: list[tuple[int, int]] | np.ndarray,
-                   held_pairs: list[tuple[int, int]] | np.ndarray | None = None) -> "SimState":
+                   held_pairs: list[tuple[int, int]] | np.ndarray | None = None) -> None:
         """Execute one batch: ``assignments`` and ``held_pairs`` are
         (driver_id, order_id) pairs over currently idle drivers / open orders,
-        as tuples or as the rows of an n x 2 integer array.
-        """
+        as tuples or as the rows of an n x 2 integer array; an entity assigned
+        in the batch cannot also be held. Every pair is checked before
+        anything is written."""
         if self.ledger.finalized:
             raise SimulationStateError("episode already finished")
-        self._idle = self._open_orders = self._pairs = None
         ledger, drivers, orders = self.ledger, self.drivers, self.orders
 
-        batch_pickup = batch_income = 0.0
-        if len(assignments):
+        n_assigned, n_held = len(assignments), 0 if held_pairs is None else len(held_pairs)
+        if n_assigned:
             ids = np.asarray(assignments, dtype=np.int64).reshape(-1, 2)
             d_rows, d_ok = _lookup(drivers, self._driver_ids, ids[:, 0])
             o_rows, o_ok = _lookup(orders, self._order_ids, ids[:, 1])
@@ -244,7 +244,25 @@ class SimState:
                     raise ConstraintViolationError(f"order {o_id} is not open")
                 seen_d.add(d_id)
                 seen_o.add(o_id)
+        if n_held:
+            held = np.asarray(held_pairs, dtype=np.int64).reshape(-1, 2)
+            hd_rows, hd_ok = _lookup(drivers, self._driver_ids, held[:, 0])
+            ho_rows, ho_ok = _lookup(orders, self._order_ids, held[:, 1])
+            if n_assigned:  # an entity assigned in this batch is not available to hold
+                for table, rows, ok, taken in ((drivers, hd_rows, hd_ok, d_rows),
+                                               (orders, ho_rows, ho_ok, o_rows)):
+                    assigned = np.zeros(len(table), dtype=bool)
+                    assigned[taken] = True
+                    ok &= ~assigned[rows]
+            if not (hd_ok.all() and ho_ok.all()):  # the first unavailable pair, driver first
+                bad = int(np.flatnonzero(~(hd_ok & ho_ok))[0])
+                d_id, o_id = held[bad].tolist()
+                raise ConstraintViolationError(f"held driver {d_id} is not idle" if not hd_ok[bad]
+                                               else f"held order {o_id} is not open")
 
+        self._batch = None
+        batch_pickup = batch_income = 0.0
+        if n_assigned:
             pickups = self._pickups(d_rows, o_rows)
             batch_pickup = reduce(add, pickups, 0.0)
             batch_income = reduce(add, orders["price"][o_rows].tolist(), 0.0)
@@ -262,19 +280,11 @@ class SimState:
         ledger.batch_pickup_sums.append(batch_pickup)
         ledger.batch_income_sums.append(batch_income)
 
-        if held_pairs is not None and len(held_pairs):
-            held = np.asarray(held_pairs, dtype=np.int64).reshape(-1, 2)
-            d_rows, d_ok = _lookup(drivers, self._driver_ids, held[:, 0])
-            o_rows, o_ok = _lookup(orders, self._order_ids, held[:, 1])
-            if not (d_ok.all() and o_ok.all()):  # the first unavailable pair, driver first
-                bad = int(np.flatnonzero(~(d_ok & o_ok))[0])
-                d_id, o_id = held[bad].tolist()
-                raise ConstraintViolationError(f"held driver {d_id} is not idle" if not d_ok[bad]
-                                               else f"held order {o_id} is not open")
+        if n_held:
             ledger.held_pairs += len(held)
             ledger.held_pickup_sum = _running_sum(ledger.held_pickup_sum,
-                                                  self._pickups(d_rows, o_rows))
-            ledger.held_price_sum = _running_sum(ledger.held_price_sum, orders["price"][o_rows])
+                                                  self._pickups(hd_rows, ho_rows))
+            ledger.held_price_sum = _running_sum(ledger.held_price_sum, orders["price"][ho_rows])
             ledger.held_distinct_driver_ids.update(held[:, 0].tolist())
             ledger.held_distinct_order_ids.update(held[:, 1].tolist())
 
@@ -289,7 +299,6 @@ class SimState:
         if len(at_risk):
             leave = self.rng.random(len(at_risk)) < self._hazard[at_risk]
             drivers["state"][at_risk[leave]] = GONE
-        return self
 
     def _release(self, due: np.ndarray) -> None:
         """Complete the ``due`` trips; each driver idles at its destination from the trip's end."""
@@ -315,7 +324,7 @@ class SimState:
         deterministic once dispatched) and still-open orders cancel."""
         if self.ledger.finalized:
             return
-        self._idle = self._open_orders = self._pairs = None
+        self._batch = None
         self._cancel(self.orders["state"] == AVAILABLE)
         self._release(self.drivers["state"] == SERVING)
         self.ledger.finalized = True
@@ -332,25 +341,16 @@ class SimState:
         batch. One ``np.hypot`` broadcast decides all but the pairs within a
         few ulps of the radius, where it may round apart from
         :func:`~micod.core.distance`, which decides those."""
-        return self._search()[0]
+        return self._view()[2]
 
     def eligible_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each eligible pair's row in :attr:`open_orders`, its row in
         :attr:`idle` and its ``np.hypot`` distance, from the same search as
         :meth:`eligible_pairs`."""
-        return self._search()[1:]
+        return self._view()[3:]
 
-    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The batch's pair search, run on first use: ids, the two row
-        arrays and the distances, all read-only."""
-        if self._pairs is None:
-            self._pairs = self._eligible()
-            for a in self._pairs:
-                a.flags.writeable = False
-        return self._pairs
-
-    def _eligible(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        o, d = self.open_orders, self.idle
+    def _eligible(self, d: np.ndarray,
+                  o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if not len(o) or not len(d):  # a third of batches in small worlds
             none = np.empty(0, dtype=np.int64)
             return np.empty((0, 2), dtype=np.int64), none, none, np.empty(0)

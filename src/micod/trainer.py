@@ -24,7 +24,7 @@ from .d2sn import (ActionRecord, CheckpointError, D2snConfig, D2snParams, as_ten
 # One-state forms of the network, also reachable here: tools that wrap the
 # package's layers by name (perfbench/tracing.py) look them up on this module.
 from .d2sn import critic_value, log_prob  # noqa: F401
-from .env import DispatchEnv, OuterState
+from .env import DispatchEnv, OuterState, global_info_dim
 
 
 class TrainerError(RuntimeError):
@@ -301,8 +301,7 @@ def _load_resume(path: str, rng: np.random.Generator):
 
 def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
           reward_mode: str | None = None, net_config: D2snConfig | None = None,
-          params: D2snParams | None = None, resume: bool = False,
-          progress=None, eval_hook=None) -> TrainResult:
+          resume: bool = False, progress=None, eval_hook=None) -> TrainResult:
     """Iterate collect -> advantage estimation -> update, snapshotting a
     resumable checkpoint and a learning-curve row per iteration. A row holds
     the iteration's outcome, the update diagnostics (``IDLE_DIAGNOSTICS``
@@ -311,8 +310,6 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
 
     ``eval_hook(iteration, params) -> bool`` may stop training early.
     """
-    from .env import global_info_dim
-
     datasets = list(datasets)
     if not datasets:
         raise ValueError("train() needs at least one dataset")
@@ -327,8 +324,7 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
     curves: list[dict] = []
     latest = os.path.join(out_dir, "latest.ckpt") if out_dir else None
 
-    if params is None:
-        params = init_params(net_config, seed=cfg.seed)
+    params = init_params(net_config, seed=cfg.seed)
     opt = make_adam(params)
 
     if resume and latest and os.path.exists(latest):

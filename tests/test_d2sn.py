@@ -394,6 +394,28 @@ def test_checkpoint_round_trip_byte_identical(tmp_path, params):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+class _Unwritable:
+    """A parameter whose bytes cannot be read, as when a save dies partway."""
+
+    size = 1
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_checkpoint_save_that_fails_partway_keeps_the_earlier_file(tmp_path, params):
+    path = tmp_path / "latest.ckpt"
+    save_checkpoint(params, path)
+    blob = path.read_bytes()
+    tensors = dict(params.tensors)
+    tensors[list(tensors)[9]] = _Unwritable()  # the 10th tensor fails
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(D2snParams(params.config, tensors), path)
+    assert path.read_bytes() == blob
+    load_checkpoint(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint")

@@ -9,6 +9,7 @@ simulators are driven with the same random assignments and holds to
 serving and departed drivers and random streams must agree bit for bit.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,21 +291,48 @@ def small_world():
     return Dataset(config=EpisodeConfig(), drivers=drivers, orders=orders)
 
 
-@pytest.mark.parametrize("assignments,held", [
-    ([(3, 4), (3, 6)], []),        # driver twice
-    ([(3, 4), (8, 4)], []),        # order twice
-    ([(5, 4)], []),                # unknown driver
-    ([(9, 4)], []),                # driver not yet appeared
-    ([(3, 5)], []),                # unknown order
-    ([], [(3, 4), (7, 6)]),        # held driver unknown
-    ([], [(3, 4), (8, 7)]),        # held order unknown
-    ([(3, 4)], [(3, 6)]),          # held driver assigned in the same batch
-    ([(3, 4)], [(8, 4)]),          # held order assigned in the same batch
-])
+# each invalid batch, and its valid part
+INVALID_BATCHES = [
+    ([(3, 4), (3, 6)], [], [(3, 4)], []),              # driver twice
+    ([(3, 4), (8, 4)], [], [(3, 4)], []),              # order twice
+    ([(5, 4)], [], [], []),                            # unknown driver
+    ([(9, 4)], [], [], []),                            # driver not yet appeared
+    ([(3, 5)], [], [], []),                            # unknown order
+    ([], [(3, 4), (7, 6)], [], [(3, 4)]),              # held driver unknown
+    ([], [(3, 4), (8, 7)], [], [(3, 4)]),              # held order unknown
+    ([(3, 4)], [(3, 6)], [(3, 4)], []),                # held driver assigned in the same batch
+    ([(3, 4)], [(8, 4)], [(3, 4)], []),                # held order assigned in the same batch
+]
+
+
+@pytest.mark.parametrize("assignments,held", [batch[:2] for batch in INVALID_BATCHES])
 def test_invalid_input_rejected_by_both(assignments, held):
     for sim in (SimState(small_world(), seed=0), ReferenceSim(small_world(), seed=0)):
         with pytest.raises(ConstraintViolationError):
             sim.step_batch(assignments, held)
+
+
+@pytest.mark.parametrize("assignments,held,valid_assignments,valid_held", INVALID_BATCHES)
+def test_rejected_batch_leaves_the_world_unchanged(assignments, held, valid_assignments,
+                                                   valid_held):
+    """A batch is checked whole before any of it is written: after a rejected
+    batch the clock, ledger, entity tables and batch view are as before, and
+    the batch's valid part then steps as it would have on a fresh world."""
+    sim = SimState(small_world(), seed=0)
+    before = (sim.clock, copy.deepcopy(sim.ledger), sim.drivers.copy(), sim.orders.copy(),
+              sim.idle.copy(), sim.open_orders.copy(), sim.eligible_pairs().copy())
+    with pytest.raises(ConstraintViolationError):
+        sim.step_batch(assignments, held)
+    after = (sim.clock, sim.ledger, sim.drivers, sim.orders, sim.idle, sim.open_orders,
+             sim.eligible_pairs())
+    assert before[:2] == after[:2]
+    for name, old, new in zip(("drivers", "orders", "idle", "open_orders", "eligible_pairs"),
+                              before[2:], after[2:]):
+        assert np.array_equal(old, new), name
+    ref = ReferenceSim(small_world(), seed=0)
+    sim.step_batch(valid_assignments, valid_held)
+    ref.step_batch(valid_assignments, valid_held)
+    assert_same_world(sim, ref)
 
 
 def test_serving_driver_rejected_by_both():
