@@ -92,9 +92,6 @@ class Tensor:
         out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
@@ -141,9 +138,6 @@ class Tensor:
             o._accum(_unbroadcast(-g * self.data / (o.data ** 2), o.data.shape))
         out._backward = back
         return out
-
-    def __rtruediv__(self, other):
-        return _wrap(other) / self
 
     def __matmul__(self, other):
         o = _wrap(other)

@@ -89,8 +89,6 @@ def km_match(m: CostMatrix) -> Assignment:
     changes the episode of every ``km`` and ``fixed_delay(k)`` evaluation.
     """
     rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return []
     cost = m.cost_space()
     allowed = ~m.forbidden
     eligible = cost[allowed]

@@ -306,7 +306,8 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
     resumable checkpoint and a learning-curve row per iteration. A row holds
     the iteration's outcome, the update diagnostics (``IDLE_DIAGNOSTICS``
     when ``lr == 0``) and the seconds spent in rollout, update and
-    checkpoint.
+    checkpoint. A resumed run appends its rows to ``curves.csv``; any other
+    run starts the file anew.
 
     ``eval_hook(iteration, params) -> bool`` may stop training early.
     """
@@ -324,11 +325,12 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
     curves: list[dict] = []
     latest = os.path.join(out_dir, "latest.ckpt") if out_dir else None
 
-    params = init_params(net_config, seed=cfg.seed)
-    opt = make_adam(params)
-
-    if resume and latest and os.path.exists(latest):
+    resumed = bool(resume and latest and os.path.exists(latest))
+    if resumed:
         params, opt, (start_iter, episode_counter, wallclock_before) = _load_resume(latest, rng)
+    else:
+        params = init_params(net_config, seed=cfg.seed)
+        opt = make_adam(params)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -379,7 +381,7 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
                 "rng_state": rng.bit_generator.state,
             })
             row["checkpoint_s"] = time.monotonic() - t_checkpoint
-            _append_curve(os.path.join(out_dir, "curves.csv"), row)
+            _write_curve(os.path.join(out_dir, "curves.csv"), row, resumed or it > start_iter)
         if progress:
             progress(row, diag)
         if eval_hook is not None and eval_hook(it + 1, params):
@@ -388,14 +390,16 @@ def train(cfg: TrainConfig, datasets, out_dir: str | None = None,
     final_path = None
     if out_dir:
         final_path = os.path.join(out_dir, "final.ckpt")
-        save_checkpoint(params, final_path, extra={"iterations": cfg.iterations})
+        save_checkpoint(params, final_path)
     return TrainResult(params=params, curves=curves, checkpoint_path=final_path)
 
 
-def _append_curve(path: str, row: dict) -> None:
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
+def _write_curve(path: str, row: dict, append: bool) -> None:
+    """Add ``row`` after the rows of the curve file at ``path`` when
+    ``append``, else start the file anew with it; a new file gets the header."""
+    new = not (append and os.path.exists(path))
+    with open(path, "w" if new else "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(row.keys()))
-        if not exists:
+        if new:
             writer.writeheader()
         writer.writerow(row)

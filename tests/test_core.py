@@ -101,6 +101,17 @@ def test_episode_config_rejects_non_finite(field, value):
         EpisodeConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("episode_length_s", 0.0, "episode_length_s"), ("batch_window_s", -2.0, "batch_window_s"),
+    ("fence_width_m", 0.0, "fence"), ("fence_height_m", -1.0, "fence"),
+    ("cell_size_m", 0.0, "cell"), ("match_radius_m", 0.0, "match_radius_m"),
+    ("pickup_speed_mps", -6.0, "pickup_speed_mps"), ("reward_mode", "XYZ", "reward_mode"),
+])
+def test_episode_config_rejects_out_of_range(field, value, named):
+    with pytest.raises(DomainError, match=named):
+        EpisodeConfig(**{field: value})
+
+
 def test_episode_config_defaults_give_300_batches():
     assert CFG.n_batches == 300
 
@@ -118,12 +129,18 @@ def test_order_validation():
         Order(**{**good, "price": 0.0})
     with pytest.raises(DomainError):
         Order(**{**good, "patience": 0.0})
+    with pytest.raises(DomainError, match="appear_time"):
+        Order(**{**good, "appear_time": -1.0})
+    with pytest.raises(DomainError, match="trip_duration"):
+        Order(**{**good, "trip_duration": -1.0})
 
 
 def test_driver_validation():
     Driver(id=0, position=Location(0, 0), appear_time=0.0, offline_hazard=0.0)
     with pytest.raises(DomainError):
         Driver(id=0, position=Location(0, 0), appear_time=0.0, offline_hazard=1.0)
+    with pytest.raises(DomainError, match="appear_time"):
+        Driver(id=0, position=Location(0, 0), appear_time=-1.0)
 
 
 def test_in_fence():

@@ -63,6 +63,12 @@ def test_sampling_and_replay_reject_nonfinite_pool(params):
             log_prob(s, hold, params)
 
 
+def test_sampling_rejects_global_info_of_another_width(params):
+    s = make_state([(1, 1), (2, 2)], g_dim=5)
+    with pytest.raises(ValueError, match=f"global info dim 5 != configured {CFG.g_dim}"):
+        sample_action(s, params, np.random.default_rng(0))
+
+
 def test_encode_permutation_equivariance(params):
     s = make_state([(1, 1), (2, 1), (3, 2), (4, 2)], seed=3)
     perm = np.array([2, 0, 3, 1])
@@ -456,12 +462,33 @@ def test_checkpoint_bad_header_raises_checkpoint_error(tmp_path, params):
                        lambda h: json.dumps({**h, "extra": 5}).encode(),
                        lambda h: json.dumps({**h, "extra": [1, 2]}).encode(),
                        config(n_heads=0), config(d_model=16.0), config(g_dim=2.5),
-                       config(n_heads=True)):
+                       config(n_heads=True),
+                       lambda h: json.dumps({**h, "param_count": h["param_count"] + 1}).encode()):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(params, path)
         rewrite_header(path, new_header)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _negative_first_dim(blob: bytes) -> bytes:
+    """``blob`` with the first tensor's first dimension set to -1."""
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    at = 16 + hlen + 4  # past the header and the first tensor's ndim
+    return blob[:at] + struct.pack("<q", -1) + blob[at + 8:]
+
+
+@pytest.mark.parametrize("damage,named", [
+    (lambda blob: blob[:8] + struct.pack("<I", 2) + blob[12:], "unsupported version 2"),
+    (_negative_first_dim, "negative shape"),
+])
+def test_checkpoint_rejects_bad_container(tmp_path, params, damage, named):
+    from micod.d2sn import CheckpointError
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(params, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=named):
+        load_checkpoint(path)
 
 
 def test_checkpoint_tensor_names_and_shapes_must_match_config(tmp_path, params):

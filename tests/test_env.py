@@ -46,6 +46,14 @@ def test_reset_empty_dataset():
     assert np.all(np.isfinite(s.global_info))
 
 
+def test_unknown_reward_mode_and_step_before_reset_are_rejected():
+    ds = make_dataset([], [])
+    with pytest.raises(ValueError, match="reward mode"):
+        DispatchEnv(ds, reward_mode="XYZ")
+    with pytest.raises(RuntimeError, match="reset"):
+        DispatchEnv(ds, seed=0).finalize_batch([], [])
+
+
 def test_reset_deterministic():
     ds = make_dataset([Driver(0, Location(0, 0), 0.0)], [order(0, Location(10, 10))])
     a = DispatchEnv(ds, seed=5).reset()

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from micod.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, parse_config_file
+from micod.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_config_file
 from micod.core import Driver, EpisodeConfig, Location, Order
 from micod.harness import (EvalPlan, PolicySpec, UsageError, cmd_eval, cmd_generate,
-                           cmd_report, make_policy, parse_policy_id, run_episode)
+                           cmd_report, make_policy, parse_policy_id, read_results_csv,
+                           run_episode)
 from micod.scenario import Dataset, ScenarioSpec, generate, save
 from test_golden import _without_wallclock
 
@@ -35,6 +36,11 @@ def test_parse_policy_id_rejects_unknown():
         parse_policy_id("quantum")
     with pytest.raises(UsageError):
         parse_policy_id("fixed_delay(0)")
+
+
+def test_make_policy_rejects_unknown_kind():
+    with pytest.raises(UsageError, match="unhandled policy kind 'bogus'"):
+        make_policy(PolicySpec("bogus"), "TDI")
 
 
 def test_missing_checkpoint_fails_before_episodes(tmp_path):
@@ -310,6 +316,15 @@ def test_cmd_report_empty_csv_warns(tmp_path):
     path.write_text(",".join(RESULT_COLUMNS) + "\n")
     text = cmd_report(str(path))
     assert "warning" in text
+    path.write_text("")  # not even a header
+    assert read_results_csv(str(path)) == []
+    assert cmd_report(str(path)).startswith("warning: no run rows found")
+
+
+def test_read_results_csv_of_a_missing_file(tmp_path):
+    from micod.harness import DataError
+    with pytest.raises(DataError, match="results file not found"):
+        read_results_csv(str(tmp_path / "none.csv"))
 
 
 def test_cmd_report_schema_drift(tmp_path):
@@ -412,6 +427,14 @@ def test_cmd_generate_reproducible(tmp_path):
     assert open(a[0]).read() == open(b[0]).read()
 
 
+@pytest.mark.parametrize("count,seed,named", [(0, 0, "count"), (1, -1, "seed")])
+def test_cmd_generate_rejects_bad_count_and_seed(tmp_path, count, seed, named):
+    out = tmp_path / "out"
+    with pytest.raises(UsageError, match=named):
+        cmd_generate("L1", 400, count, 0.05, seed, str(out))
+    assert not out.exists()
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 def test_cli_generate_and_eval_round_trip(tmp_path):
@@ -453,9 +476,41 @@ def test_cli_generate_accepts_config_file(tmp_path):
     assert len(list((tmp_path / "out").glob("*.jsonl"))) == 1
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert main(["generate", "--level", "L9", "--bin", "400", "--out", "x"]) == EXIT_USAGE
     assert main(["eval", "--policy", "nope", "--dataset", "x", "--out", "y"]) == EXIT_USAGE
+    capsys.readouterr()
+    for argv, needs in ((["generate", "--level", "L1", "--bin", "400"], "--level, --bin"),
+                        (["eval", "--policy", "km", "--out", "y"], "--policy, --dataset")):
+        assert main(argv) == EXIT_USAGE
+        assert f"needs {needs} and --out" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_is_runtime_error(tmp_path, capsys, monkeypatch):
+    import micod.cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+    monkeypatch.setattr(micod.cli, "cmd_report", fail)
+    assert main(["report", "--results", str(tmp_path / "r.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: disk on fire\n"
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("generate", None, "config file not found"),
+    ("eval", "policies = km\nseeds 2\n", ":2: expected key = value"),
+    ("train", "iterations = 1\n", "missing 'datasets' entry"),
+])
+def test_cli_config_file_errors_are_data_errors(tmp_path, capsys, command, text, named):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "train" else [])
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(cfg) in err and named in err
+    assert not out.exists()
 
 
 def test_cli_scale_zero_usage_error(tmp_path):
@@ -894,6 +949,7 @@ def _train_with(tmp_path, settings):
 @pytest.mark.parametrize("key,value", [
     ("update_sample_size", "-1"), ("update_sample_size", "0"),
     ("clip_eps", "nan"), ("grad_clip", "nan"), ("gamma", "nan"),
+    ("gamma", "1.5"), ("gamma", "-0.1"), ("clip_eps", "0"),
     ("lr", "nan"), ("lr", "-0.001"), ("entropy_coef", "inf"),
     ("reward_mode", "XYZ"),
     # keys of removed TrainConfig fields: rejected as unknown keys
@@ -1040,6 +1096,8 @@ def test_parse_config_file(tmp_path):
 def test_eval_plan_validation():
     with pytest.raises(UsageError):
         EvalPlan(policies=[], dataset_paths=["x"])
+    with pytest.raises(UsageError, match="at least one dataset"):
+        EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=[])
     with pytest.raises(UsageError):
         EvalPlan(policies=[PolicySpec(kind="km")], dataset_paths=["x"],
                  reward_mode="XXX")

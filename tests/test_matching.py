@@ -69,6 +69,21 @@ def test_km_tie_break_pinned():
     assert km_match(m) == [(0, 0), (2, 1)]
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_km_empty_matrix(shape):
+    assert km_match(CostMatrix(np.zeros(shape))) == []
+    assert km_match(CostMatrix(np.zeros(shape), mode="max")) == []
+
+
+def test_cost_matrix_validation():
+    with pytest.raises(DomainError, match="2-dimensional"):
+        CostMatrix(np.zeros((2, 2, 2)))
+    with pytest.raises(DomainError, match="mode"):
+        CostMatrix(np.zeros((2, 2)), mode="best")
+    with pytest.raises(DomainError, match="forbidden mask shape"):
+        CostMatrix(np.zeros((2, 3)), forbidden=np.zeros((3, 2), dtype=bool))
+
+
 def test_brute_force_1x3():
     m = CostMatrix(np.array([[7.0, 2.0, 9.0]]))
     assert brute_force_match(m) == [(0, 1)]
@@ -139,6 +154,25 @@ def test_gs_mutually_aligned():
     order_prefs = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
     driver_prefs = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
     assert gs_match(order_prefs, driver_prefs) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_blocking_pairs_reports_the_pair_of_an_unstable_matching():
+    # order 1 and driver 0 each prefer the other to their partners
+    order_prefs = [[0, 1], [0, 1]]
+    driver_prefs = [[1, 0], [0, 1]]
+    assert blocking_pairs(order_prefs, driver_prefs, [(0, 0), (1, 1)]) == [(1, 0)]
+    assert gs_match(order_prefs, driver_prefs) == [(0, 1), (1, 0)]
+    assert blocking_pairs(order_prefs, driver_prefs, [(0, 1), (1, 0)]) == []
+
+
+def test_gs_and_blocking_pairs_with_one_sided_acceptability():
+    # order 0 lists driver 1, who does not list order 0: never a pair
+    order_prefs = [[1, 0], [1]]
+    driver_prefs = [[0], [1]]
+    matching = gs_match(order_prefs, driver_prefs)
+    assert matching == [(0, 0), (1, 1)]
+    assert blocking_pairs(order_prefs, driver_prefs, matching) == []
+    assert blocking_pairs(order_prefs, driver_prefs, [(1, 1)]) == [(0, 0)]
 
 
 def test_gs_stability_on_random_instances():
@@ -234,6 +268,22 @@ def test_pool_cost_matrix_hand_instance():
         assert solve_pool(state, "TDI", solver) == [1, 2]
     with pytest.raises(DomainError, match="'APD' or 'TDI'"):
         pool_cost_matrix(state, "price")
+
+
+def test_pool_cost_matrix_of_an_empty_pool():
+    empty = np.zeros(0, dtype=np.int64)
+    state = OuterState(global_info=np.zeros(4), order_ids=empty, driver_ids=empty,
+                       feature_matrix=np.zeros((0, N_PAIR_FEATURES)))
+    m, row_of_rc = pool_cost_matrix(state, "TDI")
+    assert m.shape == (0, 0) and row_of_rc.shape == (0, 0)
+
+
+def test_solve_pool_rejects_unknown_solver():
+    feats = np.zeros((1, N_PAIR_FEATURES))
+    state = OuterState(global_info=np.zeros(4), order_ids=np.array([0]),
+                       driver_ids=np.array([0]), feature_matrix=feats)
+    with pytest.raises(DomainError, match="unknown solver 'hungarian'"):
+        solve_pool(state, "TDI", "hungarian")
 
 
 def test_pool_cost_matrix_unsorted_sparse_ids():

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from micod.core import Driver, EpisodeConfig, Location, Order
+from micod.core import DomainError, Driver, EpisodeConfig, Location, Order
 from micod.scenario import (CAPACITY_BINS, RATIO_BANDS, Dataset, DatasetParseError,
                             ScenarioSpec, classify, generate, load, save,
                             scaled_capacity_range)
@@ -31,6 +31,25 @@ def test_generate_is_deterministic():
 def test_generate_rejects_bad_scale():
     with pytest.raises(Exception):
         ScenarioSpec("L1", 400, seed=0, scale_factor=0.0)
+
+
+@pytest.mark.parametrize("level,cap,named", [("L5", 400, "unknown level"),
+                                             ("L1", 500, "unknown capacity bin")])
+def test_spec_rejects_unknown_level_and_bin(level, cap, named):
+    with pytest.raises(DomainError, match=named):
+        ScenarioSpec(level, cap)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5])
+def test_scaled_capacity_range_rejects_scale_outside_unit_interval(scale):
+    with pytest.raises(DomainError, match="scale_factor"):
+        scaled_capacity_range(400, scale)
+
+
+def test_ds_ratio_without_drivers():
+    base = generate(ScenarioSpec("L1", 400, seed=3, scale_factor=0.05))
+    assert Dataset(config=base.config, drivers=[], orders=base.orders).ds_ratio() == math.inf
+    assert Dataset(config=base.config, drivers=[], orders=[]).ds_ratio() == 0.0
 
 
 def test_events_sorted_by_time():
@@ -62,6 +81,14 @@ def test_classify_l3_550():
 def test_classify_unclassified_ratio_below_one():
     base = generate(ScenarioSpec("L1", 400, seed=3))
     ds = Dataset(config=base.config, drivers=base.drivers[:100], orders=base.orders[:50],
+                 scale_factor=1.0)
+    assert classify(ds) is None
+
+
+def test_classify_unclassified_driver_count_outside_every_bin():
+    # ratio 1.05 is in L1, but 100 drivers at scale 1 is below the 400 bin's 300
+    base = generate(ScenarioSpec("L1", 400, seed=3))
+    ds = Dataset(config=base.config, drivers=base.drivers[:100], orders=base.orders[:105],
                  scale_factor=1.0)
     assert classify(ds) is None
 
@@ -227,6 +254,29 @@ def test_load_rejects_non_integer_ids_with_line(tmp_path, kind, bad_id):
         load(path)
     assert err.value.line_no == at + 1
     assert f"{kind} id must be an integer" in str(err.value)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["", "   "] + lines[2:]) + "\n\n")
+    loaded = load(path)
+    assert (loaded.drivers, loaded.orders) == (ds.drivers, ds.orders)
+
+
+def test_load_rejects_unknown_record_kind_with_line(tmp_path):
+    ds = generate(ScenarioSpec("L2", 400, seed=3, scale_factor=0.05))
+    path = tmp_path / "ds.jsonl"
+    save(ds, path)
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "kind": "rider"})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        load(path)
+    assert err.value.line_no == 3
+    assert "unknown record kind 'rider'" in str(err.value)
 
 
 def test_load_empty_file(tmp_path):

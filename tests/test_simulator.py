@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,31 @@ def test_conservation_random_walk():
     sim.assert_conservation()
     counts = sim.order_state_counts()
     assert counts["open"] == 0 and counts["serving"] == 0
+
+
+def test_finish_twice_changes_nothing():
+    ds = generate(ScenarioSpec("L2", 400, seed=13, scale_factor=0.05))
+    sim = SimState(ds, seed=13)
+    for _ in range(5):
+        sim.step_batch(sim.eligible_pairs()[:1].tolist(), [])
+    sim.finish()
+    ledger = copy.deepcopy(sim.ledger)
+    orders, drivers = sim.order_state_counts(), sim.driver_state_counts()
+    sim.finish()
+    assert sim.ledger == ledger
+    assert (sim.order_state_counts(), sim.driver_state_counts()) == (orders, drivers)
+
+
+@pytest.mark.parametrize("count,named", [("appeared_orders", "order conservation"),
+                                         ("appeared_drivers", "driver conservation")])
+def test_conservation_check_catches_a_corrupted_ledger(count, named):
+    ds = generate(ScenarioSpec("L2", 400, seed=13, scale_factor=0.05))
+    sim = SimState(ds, seed=13)
+    sim.step_batch([], [])
+    sim.assert_conservation()
+    setattr(sim.ledger, count, getattr(sim.ledger, count) + 1)
+    with pytest.raises(SimulationStateError, match=named):
+        sim.assert_conservation()
 
 
 def test_determinism_same_seed_same_ledger():

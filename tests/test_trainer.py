@@ -271,6 +271,33 @@ def test_curves_csv_diagnostics_stable_across_resume(tmp_path, lr):
             assert row["approx_kl"] == 0.0 and row["mean_ratio"] == 1.0
 
 
+def test_fresh_run_starts_the_curve_file_anew(tmp_path):
+    import csv
+
+    ds = tiny_dataset()
+    for _ in range(2):  # two fresh runs into one directory
+        train(TrainConfig(lr=0.0, iterations=2, episodes_per_iter=1, seed=7), [ds],
+              out_dir=str(tmp_path))
+    train(TrainConfig(lr=0.0, iterations=3, episodes_per_iter=1, seed=7), [ds],
+          out_dir=str(tmp_path), resume=True)
+    with open(tmp_path / "curves.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == CURVE_COLUMNS
+    assert [r[0] for r in table[1:]] == ["1", "2", "3"]
+
+
+def test_ppo_update_without_transitions_is_idle():
+    from micod.trainer import IDLE_DIAGNOSTICS
+
+    params = init_params(net_config(tiny_dataset()), seed=0)
+    before = {n: t.copy() for n, t in params.tensors.items()}
+    opt = make_adam(params)
+    diag = ppo_update([], params, TrainConfig(), opt, np.random.default_rng(0))
+    assert diag == {"transitions": 0, **IDLE_DIAGNOSTICS}
+    assert opt.t == 0
+    assert all(np.array_equal(before[n], t) for n, t in params.tensors.items())
+
+
 def test_ppo_update_approx_kl_is_mean_negative_log_ratio():
     ds = tiny_dataset()
     params = init_params(net_config(ds), seed=0)
